@@ -12,10 +12,78 @@ namespace mdw {
 
 namespace {
 
-/** Copy a sharded run's scheduler diagnostics into the result. */
+/**
+ * Start the result of a finished run: the metrics snapshot, the end
+ * backlog and the latency percentiles. Every measurement is captured
+ * *before* finishResult()'s quiescence settle advances the clock: the
+ * snapshot reads live gauges (time averages, event totals) whose
+ * values depend on `now`.
+ */
 void
-captureShardStats(const Network &net, ExperimentResult &result)
+captureMetrics(Network &net, ExperimentResult &result)
 {
+    result.metrics = net.metricsSnapshot();
+    result.metrics.setCounter("experiment.end_backlog_packets",
+                              net.totalTxBacklog());
+
+    const McastTracker &tracker = net.tracker();
+    result.metrics.setGauge("experiment.latency.unicast.p95",
+                            tracker.unicastHist().percentile(0.95));
+    result.metrics.setGauge("experiment.latency.unicast.p99",
+                            tracker.unicastHist().percentile(0.99));
+    result.metrics.setGauge("experiment.latency.unicast.p999",
+                            tracker.unicastHist().percentile(0.999));
+    result.metrics.setGauge("experiment.latency.mcast_last.p95",
+                            tracker.mcastLastHist().percentile(0.95));
+    result.metrics.setGauge("experiment.latency.mcast_last.p99",
+                            tracker.mcastLastHist().percentile(0.99));
+    result.metrics.setGauge("experiment.latency.mcast_last.p999",
+                            tracker.mcastLastHist().percentile(0.999));
+}
+
+/**
+ * Finish the result: link utilization from @p txFlits (per-port flits
+ * sent during a window of @p window cycles), the trace snapshot, the
+ * quiescence audit and the sharded scheduler's diagnostics.
+ */
+void
+finishResult(Network &net, ExperimentResult &result,
+             const std::vector<std::uint64_t> &txFlits, Cycle window)
+{
+    double mean_util = 0.0, peak_util = 0.0;
+    if (!txFlits.empty() && window > 0) {
+        double sum = 0.0;
+        for (const std::uint64_t flits : txFlits) {
+            const double util = static_cast<double>(flits) /
+                                static_cast<double>(window);
+            sum += util;
+            peak_util = std::max(peak_util, util);
+        }
+        mean_util = sum / static_cast<double>(txFlits.size());
+    }
+    result.metrics.setGauge("experiment.link_util.mean", mean_util);
+    result.metrics.setGauge("experiment.link_util.max", peak_util);
+
+    if (net.telemetry().tracer())
+        result.trace =
+            std::make_shared<const WormTrace>(net.traceSnapshot());
+
+    // Quiescence audit, *after* every measurement is captured: the
+    // settle cycles it may add must not perturb any statistic (a
+    // fault-free run must stay bit-identical with this in place).
+    if (result.drained && !result.deadlocked) {
+        // A drained network can still have credits on the wire at the
+        // cycle idleness was detected; give them a moment to land.
+        net.sim().runUntil(
+            [&net] { return net.checkQuiescent(nullptr); }, 4096);
+        std::string why;
+        result.quiescent = net.checkQuiescent(&why);
+        if (!result.quiescent)
+            warn("network not quiescent after drain: %s", why.c_str());
+    } else {
+        result.quiescent = false;
+    }
+
     result.effectiveShards = net.effectiveShards();
     if (result.effectiveShards == 0)
         return;
@@ -75,7 +143,9 @@ Experiment::run()
     net.sim().run(params_.warmup);
     const std::vector<std::uint64_t> tx_before = net.portTxSnapshot();
     net.sim().run(params_.measure);
-    const std::vector<std::uint64_t> tx_after = net.portTxSnapshot();
+    std::vector<std::uint64_t> tx_window = net.portTxSnapshot();
+    for (std::size_t i = 0; i < tx_window.size(); ++i)
+        tx_window[i] -= tx_before[i];
 
     // Drain: generation has stopped; let in-flight traffic land.
     result.drained = net.sim().runUntil(
@@ -83,32 +153,12 @@ Experiment::run()
 
     result.deadlocked = net.sim().deadlockDetected();
     result.cyclesRun = net.sim().now();
-
-    // Every measurement is captured here, *before* the quiescence
-    // settle below advances the clock: the snapshot reads live gauges
-    // (time averages, event totals) whose values depend on `now`.
-    result.metrics = net.metricsSnapshot();
-    result.metrics.setCounter("experiment.end_backlog_packets",
-                              net.totalTxBacklog());
-
-    const McastTracker &tracker = net.tracker();
-    result.metrics.setGauge("experiment.latency.unicast.p95",
-                            tracker.unicastHist().percentile(0.95));
-    result.metrics.setGauge("experiment.latency.unicast.p99",
-                            tracker.unicastHist().percentile(0.99));
-    result.metrics.setGauge("experiment.latency.unicast.p999",
-                            tracker.unicastHist().percentile(0.999));
-    result.metrics.setGauge("experiment.latency.mcast_last.p95",
-                            tracker.mcastLastHist().percentile(0.95));
-    result.metrics.setGauge("experiment.latency.mcast_last.p99",
-                            tracker.mcastLastHist().percentile(0.99));
-    result.metrics.setGauge("experiment.latency.mcast_last.p999",
-                            tracker.mcastLastHist().percentile(0.999));
+    captureMetrics(net, result);
 
     const double node_cycles = static_cast<double>(net.numHosts()) *
                                static_cast<double>(params_.measure);
     const double delivered_load =
-        static_cast<double>(tracker.windowDeliveredFlits()) /
+        static_cast<double>(net.tracker().windowDeliveredFlits()) /
         node_cycles;
     result.metrics.setGauge("experiment.delivered_load",
                             delivered_load);
@@ -117,41 +167,7 @@ Experiment::run()
         delivered_load <
             params_.saturationRatio * result.expectedDelivered;
 
-    double mean_util = 0.0, peak_util = 0.0;
-    if (!tx_before.empty() && params_.measure > 0) {
-        double sum = 0.0;
-        for (std::size_t i = 0; i < tx_before.size(); ++i) {
-            const double util =
-                static_cast<double>(tx_after[i] - tx_before[i]) /
-                static_cast<double>(params_.measure);
-            sum += util;
-            peak_util = std::max(peak_util, util);
-        }
-        mean_util = sum / static_cast<double>(tx_before.size());
-    }
-    result.metrics.setGauge("experiment.link_util.mean", mean_util);
-    result.metrics.setGauge("experiment.link_util.max", peak_util);
-
-    if (net.telemetry().tracer())
-        result.trace =
-            std::make_shared<const WormTrace>(net.traceSnapshot());
-
-    // Quiescence audit, *after* every measurement above is captured:
-    // the settle cycles it may add must not perturb any statistic
-    // (a fault-free run must stay bit-identical with this in place).
-    if (result.drained && !result.deadlocked) {
-        // A drained network can still have credits on the wire at the
-        // cycle idleness was detected; give them a moment to land.
-        net.sim().runUntil(
-            [&net] { return net.checkQuiescent(nullptr); }, 4096);
-        std::string why;
-        result.quiescent = net.checkQuiescent(&why);
-        if (!result.quiescent)
-            warn("network not quiescent after drain: %s", why.c_str());
-    } else {
-        result.quiescent = false;
-    }
-    captureShardStats(net, result);
+    finishResult(net, result, tx_window, params_.measure);
     return result;
 }
 
@@ -197,27 +213,9 @@ Experiment::runClosedLoop(Network &net)
         params_.drainLimit);
     result.deadlocked = net.sim().deadlockDetected();
     result.cyclesRun = net.sim().now();
-
-    // As in the open-loop path: capture everything *before* the
-    // quiescence settle advances the clock.
-    result.metrics = net.metricsSnapshot();
-    result.metrics.setCounter("experiment.end_backlog_packets",
-                              net.totalTxBacklog());
+    captureMetrics(net, result);
 
     const McastTracker &tracker = net.tracker();
-    result.metrics.setGauge("experiment.latency.unicast.p95",
-                            tracker.unicastHist().percentile(0.95));
-    result.metrics.setGauge("experiment.latency.unicast.p99",
-                            tracker.unicastHist().percentile(0.99));
-    result.metrics.setGauge("experiment.latency.unicast.p999",
-                            tracker.unicastHist().percentile(0.999));
-    result.metrics.setGauge("experiment.latency.mcast_last.p95",
-                            tracker.mcastLastHist().percentile(0.95));
-    result.metrics.setGauge("experiment.latency.mcast_last.p99",
-                            tracker.mcastLastHist().percentile(0.99));
-    result.metrics.setGauge("experiment.latency.mcast_last.p999",
-                            tracker.mcastLastHist().percentile(0.999));
-
     const double node_cycles =
         static_cast<double>(net.numHosts()) *
         static_cast<double>(result.cyclesRun);
@@ -228,23 +226,6 @@ Experiment::runClosedLoop(Network &net)
                   node_cycles
             : 0.0);
     result.saturated = result.deadlocked || !result.drained;
-
-    // Whole-run link utilization (no measurement sub-window).
-    const std::vector<std::uint64_t> tx = net.portTxSnapshot();
-    double mean_util = 0.0, peak_util = 0.0;
-    if (!tx.empty() && result.cyclesRun > 0) {
-        double sum = 0.0;
-        for (const std::uint64_t flits : tx) {
-            const double util =
-                static_cast<double>(flits) /
-                static_cast<double>(result.cyclesRun);
-            sum += util;
-            peak_util = std::max(peak_util, util);
-        }
-        mean_util = sum / static_cast<double>(tx.size());
-    }
-    result.metrics.setGauge("experiment.link_util.mean", mean_util);
-    result.metrics.setGauge("experiment.link_util.max", peak_util);
 
     // Closed-loop accounting: on a drained run every injected message
     // retired (posted == completed + partial), which validate_report
@@ -263,21 +244,8 @@ Experiment::runClosedLoop(Network &net)
                                   kernels->roundsCompleted());
     }
 
-    if (net.telemetry().tracer())
-        result.trace =
-            std::make_shared<const WormTrace>(net.traceSnapshot());
-
-    if (result.drained && !result.deadlocked) {
-        net.sim().runUntil(
-            [&net] { return net.checkQuiescent(nullptr); }, 4096);
-        std::string why;
-        result.quiescent = net.checkQuiescent(&why);
-        if (!result.quiescent)
-            warn("network not quiescent after drain: %s", why.c_str());
-    } else {
-        result.quiescent = false;
-    }
-    captureShardStats(net, result);
+    // Whole-run link utilization (no measurement sub-window).
+    finishResult(net, result, net.portTxSnapshot(), result.cyclesRun);
     // The workload dies with this scope; the network must not retain
     // hooks into it.
     net.detachWorkload();

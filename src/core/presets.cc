@@ -9,70 +9,9 @@ namespace mdw {
 
 namespace {
 
-/** Warn (once per key per process) about a deprecated spelling. */
-void
-warnDeprecatedKey(const std::string &oldKey, const std::string &newKey)
-{
-    static std::set<std::string> warned;
-    if (warned.insert(oldKey).second)
-        warn("config key '%s' is deprecated; use '%s'", oldKey.c_str(),
-             newKey.c_str());
-}
-
-// Aliased getters: read the canonical workload.* key, accepting the
-// pre-redesign spelling as a warn-once fallback. The legacy key is
-// read first so both spellings count as consumed (the unknown-key
-// check below would otherwise trip), with the canonical key winning
-// when both are present.
-
-std::string
-aliasedString(const Config &config, const char *newKey,
-              const char *oldKey, std::string dflt)
-{
-    if (config.has(oldKey)) {
-        warnDeprecatedKey(oldKey, newKey);
-        dflt = config.getString(oldKey, dflt);
-    }
-    return config.getString(newKey, dflt);
-}
-
-double
-aliasedDouble(const Config &config, const char *newKey,
-              const char *oldKey, double dflt)
-{
-    if (config.has(oldKey)) {
-        warnDeprecatedKey(oldKey, newKey);
-        dflt = config.getDouble(oldKey, dflt);
-    }
-    return config.getDouble(newKey, dflt);
-}
-
-std::int64_t
-aliasedInt(const Config &config, const char *newKey, const char *oldKey,
-           std::int64_t dflt)
-{
-    if (config.has(oldKey)) {
-        warnDeprecatedKey(oldKey, newKey);
-        dflt = config.getInt(oldKey, dflt);
-    }
-    return config.getInt(newKey, dflt);
-}
-
-std::uint64_t
-aliasedU64(const Config &config, const char *newKey, const char *oldKey,
-           std::uint64_t dflt)
-{
-    if (config.has(oldKey)) {
-        warnDeprecatedKey(oldKey, newKey);
-        dflt = config.getU64(oldKey, dflt);
-    }
-    return config.getU64(newKey, dflt);
-}
-
 /**
  * Read an integer key and clamp it into [lo, hi], warning once per
- * key per process when the configured value is out of range (same
- * one-shot policy as the deprecated-key warnings above).
+ * key per process when the configured value is out of range.
  */
 int
 clampedInt(const Config &config, const char *key, int dflt, int lo,
@@ -302,10 +241,7 @@ applyOverrides(const Config &config, NetworkConfig &network,
     network.shardThreads = static_cast<unsigned>(config.getU64(
         "sim.shardThreads", network.shardThreads));
 
-    // Workload. Canonical keys are workload.*; the pre-redesign bare
-    // spellings (pattern, load, ...) and traffic.seed remain as
-    // warn-once deprecation aliases, workload.* winning when both
-    // appear.
+    // Workload.
     const std::string kind =
         config.getString("workload.kind", toString(traffic.kind));
     if (kind == "synthetic") {
@@ -317,8 +253,8 @@ applyOverrides(const Config &config, NetworkConfig &network,
     } else {
         fatal("unknown workload kind '%s'", kind.c_str());
     }
-    const std::string pattern = aliasedString(
-        config, "workload.pattern", "pattern", toString(traffic.pattern));
+    const std::string pattern =
+        config.getString("workload.pattern", toString(traffic.pattern));
     if (pattern == "uniform-unicast") {
         traffic.pattern = TrafficPattern::UniformUnicast;
     } else if (pattern == "multiple-multicast") {
@@ -330,22 +266,18 @@ applyOverrides(const Config &config, NetworkConfig &network,
     } else {
         fatal("unknown traffic pattern '%s'", pattern.c_str());
     }
-    traffic.load =
-        aliasedDouble(config, "workload.load", "load", traffic.load);
-    traffic.payloadFlits = static_cast<int>(aliasedInt(
-        config, "workload.payload", "payload", traffic.payloadFlits));
-    traffic.mcastDegree = static_cast<int>(aliasedInt(
-        config, "workload.degree", "degree", traffic.mcastDegree));
+    traffic.load = config.getDouble("workload.load", traffic.load);
+    traffic.payloadFlits = static_cast<int>(
+        config.getInt("workload.payload", traffic.payloadFlits));
+    traffic.mcastDegree = static_cast<int>(
+        config.getInt("workload.degree", traffic.mcastDegree));
     traffic.mcastFraction =
-        aliasedDouble(config, "workload.mcastFraction", "mcastFraction",
-                      traffic.mcastFraction);
+        config.getDouble("workload.mcastFraction", traffic.mcastFraction);
     traffic.hotFraction =
-        aliasedDouble(config, "workload.hotFraction", "hotFraction",
-                      traffic.hotFraction);
-    traffic.hotNode = static_cast<NodeId>(aliasedInt(
-        config, "workload.hotNode", "hotNode", traffic.hotNode));
-    traffic.seed = aliasedU64(config, "workload.seed", "traffic.seed",
-                              traffic.seed);
+        config.getDouble("workload.hotFraction", traffic.hotFraction);
+    traffic.hotNode = static_cast<NodeId>(
+        config.getInt("workload.hotNode", traffic.hotNode));
+    traffic.seed = config.getU64("workload.seed", traffic.seed);
     // Lane class stamped on generated multicasts (bimodal isolation).
     traffic.mcastClass =
         clampedInt(config, "workload.mcastClass", traffic.mcastClass,

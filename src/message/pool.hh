@@ -22,9 +22,10 @@
  * mutex is off the hot path anyway.
  *
  * Pooling only changes where the bytes live — results are bitwise
- * unaffected. MDW_PACKET_POOL=0 in the environment falls back to
- * plain make_shared (e.g. to run leak checkers that want to see
- * every allocation).
+ * unaffected. AddressSanitizer builds fall back to plain make_shared,
+ * so every packet gets its own allocation and a use-after-free on a
+ * recycled block is reported instead of silently reading the block's
+ * next tenant.
  */
 
 #ifndef MDW_MESSAGE_POOL_HH
@@ -38,8 +39,13 @@
 
 namespace mdw {
 
-/** False when MDW_PACKET_POOL=0 is set (read once per process). */
-bool packetPoolEnabled();
+#if defined(__SANITIZE_ADDRESS__)
+#define MDW_POOL_UNDER_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define MDW_POOL_UNDER_ASAN 1
+#endif
+#endif
 
 namespace detail {
 
@@ -221,17 +227,18 @@ class PoolAllocator
 
 /**
  * make_shared with pooled storage (object and control block in one
- * recycled block). The pool/heap choice is latched into the control
- * block, so mixing pooled and unpooled pointers is always safe.
+ * recycled block); plain make_shared under AddressSanitizer.
  */
 template <typename T, typename... Args>
 std::shared_ptr<T>
 makePooled(Args &&...args)
 {
-    if (!packetPoolEnabled())
-        return std::make_shared<T>(std::forward<Args>(args)...);
+#ifdef MDW_POOL_UNDER_ASAN
+    return std::make_shared<T>(std::forward<Args>(args)...);
+#else
     return std::allocate_shared<T>(PoolAllocator<T>(),
                                    std::forward<Args>(args)...);
+#endif
 }
 
 } // namespace mdw

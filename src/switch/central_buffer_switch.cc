@@ -10,7 +10,8 @@ CentralBufferSwitch::CentralBufferSwitch(std::string name, SwitchId id,
                                          const SwitchRouting *routing,
                                          const SwitchParams &params,
                                          const CbParams &cbParams)
-    : SwitchBase(std::move(name), id, routing, params),
+    : SwitchBase(std::move(name), id, routing, params,
+                 cbParams.inputFifoFlits),
       cbParams_(cbParams),
       cq_(CqParams{cbParams.cqChunks, cbParams.chunkFlits,
                    routing->radix(),
@@ -20,29 +21,14 @@ CentralBufferSwitch::CentralBufferSwitch(std::string name, SwitchId id,
                              cbParams.chunkFlits
                        : 0})
 {
-    MDW_ASSERT(cbParams_.inputFifoFlits > 0, "input FIFO must be > 0");
     MDW_ASSERT(cbParams_.outputFifoFlits >= cbParams_.chunkFlits,
                "output FIFO must hold at least one chunk");
     const auto radix = static_cast<std::size_t>(routing->radix());
     const auto slots = radix * static_cast<std::size_t>(lanes());
     inputs_.resize(slots);
     outputs_.resize(slots);
-    for (auto &input : inputs_)
-        input.freeSlots = cbParams_.inputFifoFlits;
     writeArb_.resize(static_cast<int>(slots));
     readArb_.resize(static_cast<int>(slots));
-}
-
-int
-CentralBufferSwitch::inputOccupancy(PortId port) const
-{
-    int occupied = 0;
-    for (int l = 0; l < lanes(); ++l) {
-        const InputState &input =
-            inputs_.at(laneIdx(static_cast<std::size_t>(port), l));
-        occupied += cbParams_.inputFifoFlits - input.freeSlots;
-    }
-    return occupied;
 }
 
 int
@@ -103,7 +89,7 @@ CentralBufferSwitch::step(Cycle now)
     intake(now);
     if (poisoned_) {
         // Fault paths, inert (never entered) without fault injection.
-        fabricateFailedArrivals(now);
+        fabricateFailedArrivals();
         drainTombstones(now);
     }
     decide(now);
@@ -114,12 +100,7 @@ CentralBufferSwitch::step(Cycle now)
     cqRead(now);
     streamTransmit(now);
     cqOcc_.update(static_cast<double>(cq_.usedChunks()), now);
-    if (lanes() > 1) {
-        int occupied = 0;
-        for (const InputState &input : inputs_)
-            occupied += cbParams_.inputFifoFlits - input.freeSlots;
-        sampleLaneOccupancy(static_cast<double>(occupied), now);
-    }
+    sampleLaneOccupancy(now);
 }
 
 Cycle
@@ -130,10 +111,8 @@ CentralBufferSwitch::nextWork(Cycle now)
     // barrier releases, or central-queue residency. (CQ residency also
     // pins cqOcc_: the time average may only coast while its sampled
     // value is exactly zero.)
-    for (const InputState &input : inputs_) {
-        if (!input.packets.empty())
-            return now + 1;
-    }
+    if (inputsBuffered())
+        return now + 1;
     for (const OutputState &output : outputs_) {
         if (!output.idle() || !output.queue.empty() ||
             output.fifoFlits > 0)
@@ -154,17 +133,18 @@ CentralBufferSwitch::dumpState(FILE *out) const
                  cq_.entryCount(), lanes());
     for (std::size_t i = 0; i < inputs_.size(); ++i) {
         const InputState &in = inputs_[i];
-        if (in.packets.empty())
+        const InputFifo &fifo = fifos_[i];
+        if (fifo.packets.empty())
             continue;
-        const PacketRecord &rec = in.packets.front();
+        const PacketRecord &rec = fifo.packets.front();
         std::fprintf(out,
                      "  in%zu.%zu mode=%d pkts=%zu head=%s arrived=%d "
                      "consumed=%d outLane=%d entry=%d free=%d\n",
                      i / static_cast<std::size_t>(lanes()),
                      i % static_cast<std::size_t>(lanes()),
-                     static_cast<int>(in.mode), in.packets.size(),
+                     static_cast<int>(in.mode), fifo.packets.size(),
                      rec.pkt->toString().c_str(), rec.arrived,
-                     in.consumed, in.outLane, in.entry, in.freeSlots);
+                     in.consumed, in.outLane, in.entry, fifo.freeSlots);
     }
     for (std::size_t o = 0; o < outputs_.size(); ++o) {
         const OutputState &out_state = outputs_[o];
@@ -197,17 +177,6 @@ CentralBufferSwitch::quiescent(std::string *why) const
     if (cq_.entryCount() != 0)
         complain("central queue holds " +
                  std::to_string(cq_.entryCount()) + " entries");
-    for (std::size_t i = 0; i < inputs_.size(); ++i) {
-        const InputState &in = inputs_[i];
-        if (!in.packets.empty())
-            complain("input " + std::to_string(i) + " buffers " +
-                     std::to_string(in.packets.size()) + " packets");
-        else if (in.freeSlots != cbParams_.inputFifoFlits)
-            complain("input " + std::to_string(i) + " leaked " +
-                     std::to_string(cbParams_.inputFifoFlits -
-                                    in.freeSlots) +
-                     " FIFO slots");
-    }
     for (std::size_t o = 0; o < outputs_.size(); ++o) {
         const OutputState &out = outputs_[o];
         if (!out.idle() || !out.queue.empty() || out.fifoFlits != 0)
@@ -218,98 +187,24 @@ CentralBufferSwitch::quiescent(std::string *why) const
 }
 
 void
-CentralBufferSwitch::intake(Cycle now)
-{
-    for (std::size_t i = 0; i < ins_.size(); ++i) {
-        if (ins_[i].failed) {
-            // Dead link: whatever was still in flight is lost.
-            if (ins_[i].connected() && ins_[i].in->peek(now)) {
-                (void)ins_[i].in->receive(now);
-                noteTombstone();
-            }
-            continue;
-        }
-        if (!ins_[i].connected() || !ins_[i].in->peek(now))
-            continue;
-        Flit flit = ins_[i].in->receive(now);
-        MDW_ASSERT(flit.lane >= 0 && flit.lane < lanes(),
-                   "switch %d input %zu: flit on lane %d of %d", id_,
-                   i, flit.lane, lanes());
-        InputState &input = inputs_[laneIdx(i, flit.lane)];
-        MDW_ASSERT(input.freeSlots > 0,
-                   "switch %d input %zu lane %d: flit arrived with "
-                   "full FIFO",
-                   id_, i, flit.lane);
-        --input.freeSlots;
-        stats_.flitsIn.inc();
-        if (flit.isHead()) {
-            input.packets.push_back(PacketRecord{flit.pkt, 1});
-        } else {
-            MDW_ASSERT(!input.packets.empty() &&
-                           input.packets.back().pkt->id == flit.pkt->id,
-                       "switch %d input %zu lane %d: interleaved "
-                       "packets",
-                       id_, i, flit.lane);
-            ++input.packets.back().arrived;
-        }
-        if (sim_)
-            sim_->noteProgress();
-    }
-}
-
-void
-CentralBufferSwitch::fabricateFailedArrivals(Cycle now)
-{
-    (void)now;
-    // A packet caught mid-reception on a now-dead link would leave
-    // its buffer slot (and, transitively, a central-queue entry and
-    // replication readers) occupied forever. Fabricate the missing
-    // flits at wire speed — the packet then flows through the normal
-    // pipeline and the poisoned id makes every NIC discard it on
-    // arrival (end-to-end CRC model); retransmission re-covers the
-    // destinations.
-    for (std::size_t i = 0; i < inputs_.size(); ++i) {
-        InputState &input = inputs_[i];
-        if (!ins_[i / static_cast<std::size_t>(lanes())].failed ||
-            input.packets.empty())
-            continue;
-        PacketRecord &rec = input.packets.back();
-        if (rec.arrived >= rec.pkt->totalFlits())
-            continue;
-        if (input.freeSlots <= 0)
-            continue; // normal backpressure; retry next cycle
-        poisonPacket(*rec.pkt);
-        --input.freeSlots;
-        ++rec.arrived;
-        stats_.flitsIn.inc();
-        if (sim_)
-            sim_->noteProgress();
-    }
-}
-
-void
 CentralBufferSwitch::drainTombstones(Cycle now)
 {
     for (std::size_t i = 0; i < inputs_.size(); ++i) {
         InputState &input = inputs_[i];
         if (input.mode != InMode::Tombstone)
             continue;
-        const PacketRecord &rec = input.packets.front();
+        const PacketRecord &rec = fifos_[i].packets.front();
         const int staged = rec.arrived - input.consumed;
         const int n = std::min(staged, cbParams_.chunkFlits);
         if (n <= 0)
             continue;
         input.consumed += n;
-        input.freeSlots += n;
-        if (ins_[i / static_cast<std::size_t>(lanes())].creditOut)
-            ins_[i / static_cast<std::size_t>(lanes())].creditOut->send(
-                n, now, static_cast<int>(
-                            i % static_cast<std::size_t>(lanes())));
+        releaseInput(i, n, now);
         stats_.tombstonedFlits.inc(static_cast<std::uint64_t>(n));
         if (sim_)
             sim_->noteProgress();
         if (input.consumed == rec.pkt->totalFlits())
-            finishHeadPacket(input);
+            finishHeadPacket(i);
     }
 }
 
@@ -341,9 +236,9 @@ CentralBufferSwitch::decide(Cycle now)
     reservationWaiters_ = 0;
     for (std::size_t i = 0; i < inputs_.size(); ++i) {
         InputState &input = inputs_[i];
-        if (input.mode != InMode::Deciding || input.packets.empty())
+        if (input.mode != InMode::Deciding || fifos_[i].packets.empty())
             continue;
-        const PacketRecord &rec = input.packets.front();
+        const PacketRecord &rec = fifos_[i].packets.front();
         MDW_ASSERT(rec.pkt->headerFlits <= cbParams_.inputFifoFlits,
                    "header (%d flits) exceeds input FIFO (%d flits); "
                    "enlarge cb.inputFifoFlits",
@@ -384,15 +279,10 @@ CentralBufferSwitch::decide(Cycle now)
 void
 CentralBufferSwitch::consumeBarrierToken(std::size_t i, Cycle now)
 {
-    InputState &input = inputs_[i];
     const std::size_t port = i / static_cast<std::size_t>(lanes());
-    const int lane =
-        static_cast<int>(i % static_cast<std::size_t>(lanes()));
-    const PacketRecord rec = input.packets.front();
-    input.packets.pop_front();
-    input.freeSlots += rec.pkt->totalFlits();
-    if (ins_[port].creditOut)
-        ins_[port].creditOut->send(rec.pkt->totalFlits(), now, lane);
+    const PacketRecord rec = fifos_[i].packets.front();
+    fifos_[i].packets.pop_front();
+    releaseInput(i, rec.pkt->totalFlits(), now);
     barrierTokens_.inc();
     if (sim_)
         sim_->noteProgress();
@@ -475,7 +365,7 @@ CentralBufferSwitch::decideUnicast(std::size_t i,
                                    Cycle now)
 {
     InputState &input = inputs_[i];
-    const PacketPtr &pkt = input.packets.front().pkt;
+    const PacketPtr &pkt = fifos_[i].packets.front().pkt;
 
     const int lane =
         allocLane(*pkt, now, [&](int l) { return laneCost(route, l); });
@@ -524,7 +414,7 @@ CentralBufferSwitch::decideMulticast(std::size_t i,
                                      Cycle now)
 {
     InputState &input = inputs_[i];
-    const PacketPtr &pkt = input.packets.front().pkt;
+    const PacketPtr &pkt = fifos_[i].packets.front().pkt;
 
     // Whole-packet chunk reservation is the acceptance condition: the
     // head waits at the FIFO head (stalling this input) until the
@@ -592,7 +482,6 @@ void
 CentralBufferSwitch::bypassTransmit(Cycle now)
 {
     for (std::size_t p = 0; p < outs_.size(); ++p) {
-        OutPort &port = outs_[p];
         // Latency-class lanes are served first, rotating within each
         // class partition (see serviceLane); with one lane this is
         // lane 0 every cycle (the pre-lane iteration order).
@@ -601,71 +490,23 @@ CentralBufferSwitch::bypassTransmit(Cycle now)
             OutputState &output = outputs_[laneIdx(p, lane)];
             if (output.mode != OutputState::Mode::Bypass)
                 continue;
-            InputState &input =
-                inputs_[static_cast<std::size_t>(output.bypassInput)];
-            const PacketRecord &rec = input.packets.front();
-            const std::size_t in_port =
-                static_cast<std::size_t>(output.bypassInput) /
-                static_cast<std::size_t>(lanes());
-            const int in_lane = static_cast<int>(
-                static_cast<std::size_t>(output.bypassInput) %
-                static_cast<std::size_t>(lanes()));
-
-            if (input.consumed >= rec.arrived)
+            const auto in = static_cast<std::size_t>(output.bypassInput);
+            InputState &input = inputs_[in];
+            if (input.consumed >= fifos_[in].packets.front().arrived)
                 continue;
-            if (port.failed) {
-                // Tombstone sink: swallow the flit, free the input
-                // slot.
-                ++output.sentSeq;
-                ++input.consumed;
-                ++input.freeSlots;
-                if (ins_[in_port].creditOut)
-                    ins_[in_port].creditOut->send(1, now, in_lane);
-                noteTombstone();
-                if (sim_)
-                    sim_->noteProgress();
-                if (output.sentSeq == input.bypassPkt->totalFlits()) {
-                    output.mode = OutputState::Mode::Idle;
-                    output.bypassInput = -1;
-                    output.sentSeq = 0;
-                    finishHeadPacket(input);
-                }
+            // Bypass carries only non-HwMulticast packets (decide()
+            // queues every multicast in the central queue), so the
+            // reservation rule never holds a bypass head back.
+            if (!sendFlit(p, lane, input.bypassPkt, output.sentSeq, now))
                 continue;
-            }
-            if (port.credits[static_cast<std::size_t>(lane)] < 1 ||
-                portThrottled(port, now))
-                continue;
-            if (port.out->busy(now)) {
-                // The physical link already carried another lane's
-                // flit this cycle; this lane was otherwise ready.
-                if (lanes() > 1 &&
-                    !(output.sentSeq == 0 &&
-                      !canStartPacket(port, lane, *input.bypassPkt)))
-                    noteLaneStall(now, *input.bypassPkt, p);
-                continue;
-            }
-            if (output.sentSeq == 0 &&
-                !canStartPacket(port, lane, *input.bypassPkt))
-                continue;
-            port.out->send(Flit{input.bypassPkt, output.sentSeq, lane},
-                           now);
             ++output.sentSeq;
-            --port.credits[static_cast<std::size_t>(lane)];
             ++input.consumed;
-            ++input.freeSlots;
-            if (ins_[in_port].creditOut)
-                ins_[in_port].creditOut->send(1, now, in_lane);
-            notePortSend(p, lane);
-            if (sim_)
-                sim_->noteProgress();
-
+            releaseInput(in, 1, now);
             if (output.sentSeq == input.bypassPkt->totalFlits()) {
-                traceWorm(WormEvent::TailDrain, now, *input.bypassPkt,
-                          static_cast<std::int32_t>(p));
                 output.mode = OutputState::Mode::Idle;
                 output.bypassInput = -1;
                 output.sentSeq = 0;
-                finishHeadPacket(input);
+                finishHeadPacket(in);
             }
         }
     }
@@ -681,7 +522,7 @@ CentralBufferSwitch::cqWrite(Cycle now)
         InputState &input = inputs_[i];
         if (input.mode != InMode::CentralQueue)
             continue;
-        const PacketRecord &rec = input.packets.front();
+        const PacketRecord &rec = fifos_[i].packets.front();
         const int staged = rec.arrived - input.consumed;
         if (staged <= 0)
             continue;
@@ -701,36 +542,42 @@ CentralBufferSwitch::cqWrite(Cycle now)
     if (winner < 0)
         return;
 
-    InputState &input = inputs_[static_cast<std::size_t>(winner)];
-    const PacketRecord &rec = input.packets.front();
+    const auto i = static_cast<std::size_t>(winner);
+    InputState &input = inputs_[i];
+    const PacketRecord &rec = fifos_[i].packets.front();
     const int staged = rec.arrived - input.consumed;
     const int n = std::min({staged, cbParams_.chunkFlits,
                             cq_.writable(input.entry)});
     MDW_ASSERT(n > 0, "eligible input with nothing to write");
     cq_.write(input.entry, n);
     input.consumed += n;
-    input.freeSlots += n;
-    const std::size_t in_port = static_cast<std::size_t>(winner) /
-                                static_cast<std::size_t>(lanes());
-    const int in_lane =
-        static_cast<int>(static_cast<std::size_t>(winner) %
-                         static_cast<std::size_t>(lanes()));
-    if (ins_[in_port].creditOut)
-        ins_[in_port].creditOut->send(n, now, in_lane);
+    releaseInput(i, n, now);
     if (sim_)
         sim_->noteProgress();
 
     if (input.consumed == rec.pkt->totalFlits())
-        finishHeadPacket(input);
+        finishHeadPacket(i);
 }
 
 void
-CentralBufferSwitch::finishHeadPacket(InputState &input)
+CentralBufferSwitch::releaseInput(std::size_t i, int n, Cycle now)
+{
+    fifos_[i].freeSlots += n;
+    const InPort &in = ins_[i / static_cast<std::size_t>(lanes())];
+    if (in.creditOut)
+        in.creditOut->send(
+            n, now,
+            static_cast<int>(i % static_cast<std::size_t>(lanes())));
+}
+
+void
+CentralBufferSwitch::finishHeadPacket(std::size_t i)
 {
     // The head packet has fully left the input FIFO; the input is
     // free to decode the next packet even while the central queue
     // still drains the previous one.
-    input.packets.pop_front();
+    fifos_[i].packets.pop_front();
+    InputState &input = inputs_[i];
     input.mode = InMode::Deciding;
     input.consumed = 0;
     input.outLane = 0;
@@ -796,7 +643,6 @@ void
 CentralBufferSwitch::streamTransmit(Cycle now)
 {
     for (std::size_t p = 0; p < outs_.size(); ++p) {
-        OutPort &port = outs_[p];
         // Same lane service order as bypassTransmit (lane 0 at L=1).
         for (int k = 0; k < lanes(); ++k) {
             const int lane = serviceLane(now, k);
@@ -805,53 +651,12 @@ CentralBufferSwitch::streamTransmit(Cycle now)
                 continue;
             if (output.fifoFlits <= 0)
                 continue;
-            if (port.failed) {
-                // Tombstone sink: consume at wire speed so the central
-                // queue's reader advances and chunks recycle.
-                const PacketPtr &dead = output.current.branchPkt;
-                ++output.sentSeq;
-                --output.fifoFlits;
-                noteTombstone();
-                if (sim_)
-                    sim_->noteProgress();
-                if (output.sentSeq == dead->totalFlits()) {
-                    output.mode = OutputState::Mode::Idle;
-                    output.fifoFlits = 0;
-                    output.readSeq = 0;
-                    output.sentSeq = 0;
-                    output.current = QueueItem{};
-                }
-                continue;
-            }
             const PacketPtr &pkt = output.current.branchPkt;
-            if (port.credits[static_cast<std::size_t>(lane)] < 1 ||
-                portThrottled(port, now))
+            if (!sendFlit(p, lane, pkt, output.sentSeq, now))
                 continue;
-            if (port.out->busy(now)) {
-                // The physical link already carried another lane's
-                // flit this cycle; this lane was otherwise ready.
-                if (lanes() > 1 &&
-                    !(output.sentSeq == 0 &&
-                      !canStartPacket(port, lane, *pkt)))
-                    noteLaneStall(now, *pkt, p);
-                continue;
-            }
-            if (output.sentSeq == 0 && !canStartPacket(port, lane, *pkt)) {
-                stats_.reservationStallCycles.inc();
-                traceWorm(WormEvent::ReserveStall, now, *pkt,
-                          static_cast<std::int32_t>(p));
-                continue;
-            }
-            port.out->send(Flit{pkt, output.sentSeq, lane}, now);
             ++output.sentSeq;
             --output.fifoFlits;
-            --port.credits[static_cast<std::size_t>(lane)];
-            notePortSend(p, lane);
-            if (sim_)
-                sim_->noteProgress();
             if (output.sentSeq == pkt->totalFlits()) {
-                traceWorm(WormEvent::TailDrain, now, *pkt,
-                          static_cast<std::int32_t>(p));
                 output.mode = OutputState::Mode::Idle;
                 output.fifoFlits = 0;
                 output.readSeq = 0;

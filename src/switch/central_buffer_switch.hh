@@ -75,15 +75,13 @@ class CentralBufferSwitch : public SwitchBase
     ReceivePolicy
     receivePolicy(PortId) const override
     {
-        return ReceivePolicy{cbParams_.inputFifoFlits, false};
+        return ReceivePolicy{inputFlits_, false};
     }
 
     /** Chunks currently occupied in the central queue (tests). */
     int cqUsedChunks() const { return cq_.usedChunks(); }
     /** Resident packets in the central queue (tests). */
     std::size_t cqEntries() const { return cq_.entryCount(); }
-    /** Flits buffered at input @p port (tests). */
-    int inputOccupancy(PortId port) const;
     /** Time-averaged central-queue occupancy, chunks. */
     double avgCqChunks(Cycle now) const { return cqOcc_.average(now); }
 
@@ -118,20 +116,12 @@ class CentralBufferSwitch : public SwitchBase
     /** How the head packet of an input is being served. */
     enum class InMode { Deciding, Bypass, CentralQueue, Tombstone };
 
-    struct PacketRecord
-    {
-        PacketPtr pkt;
-        int arrived = 0;
-    };
-
     /**
-     * Per-(input port, lane) FIFO state, laneIdx-flattened: each lane
-     * owns an independent FIFO of the full advertised window.
+     * Per-(input port, lane) head-packet state, laneIdx-flattened
+     * like the base's input FIFOs (fifos_).
      */
     struct InputState
     {
-        std::deque<PacketRecord> packets;
-        int freeSlots = 0;
         InMode mode = InMode::Deciding;
         /** Head-packet flits taken out of the FIFO so far. */
         int consumed = 0;
@@ -173,9 +163,6 @@ class CentralBufferSwitch : public SwitchBase
         bool idle() const { return mode == Mode::Idle; }
     };
 
-    void intake(Cycle now);
-    /** Complete packets cut off by a failed input link (fault). */
-    void fabricateFailedArrivals(Cycle now);
     /** Drain inputs whose head packet has nowhere to go (fault). */
     void drainTombstones(Cycle now);
     void decide(Cycle now);
@@ -192,7 +179,10 @@ class CentralBufferSwitch : public SwitchBase
     void activateStreams();
     void cqRead(Cycle now);
     void streamTransmit(Cycle now);
-    void finishHeadPacket(InputState &input);
+    /** The head packet of input @p i has fully left its FIFO. */
+    void finishHeadPacket(std::size_t i);
+    /** Free @p n FIFO slots of input @p i, returning their credits. */
+    void releaseInput(std::size_t i, int n, Cycle now);
 
     /** Queue-length cost used by adaptive up-port choice. */
     int outputBacklog(PortId port, int lane) const;

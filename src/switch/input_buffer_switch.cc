@@ -10,17 +10,14 @@ InputBufferSwitch::InputBufferSwitch(std::string name, SwitchId id,
                                      const SwitchRouting *routing,
                                      const SwitchParams &params,
                                      const IbParams &ibParams)
-    : SwitchBase(std::move(name), id, routing, params),
-      ibParams_(ibParams)
+    : SwitchBase(std::move(name), id, routing, params,
+                 ibParams.bufferFlits)
 {
-    MDW_ASSERT(ibParams_.bufferFlits > 0, "input buffer must be > 0");
     const auto radix = static_cast<std::size_t>(routing->radix());
     const auto slots = radix * static_cast<std::size_t>(lanes());
     inputs_.resize(slots);
     outputs_.resize(slots);
     outputArb_.resize(slots);
-    for (auto &input : inputs_)
-        input.freeSlots = ibParams_.bufferFlits;
     for (auto &arb : outputArb_)
         arb.resize(static_cast<int>(slots));
     syncArb_.resize(static_cast<int>(slots));
@@ -36,18 +33,6 @@ InputBufferSwitch::fullyGranted(const InputState &input)
             return false;
     }
     return true;
-}
-
-int
-InputBufferSwitch::bufferOccupancy(PortId port) const
-{
-    int occupied = 0;
-    for (int l = 0; l < lanes(); ++l) {
-        const InputState &input =
-            inputs_.at(laneIdx(static_cast<std::size_t>(port), l));
-        occupied += ibParams_.bufferFlits - input.freeSlots;
-    }
-    return occupied;
 }
 
 bool
@@ -68,18 +53,19 @@ InputBufferSwitch::dumpState(FILE *out) const
                  name().c_str(), lanes());
     for (std::size_t i = 0; i < inputs_.size(); ++i) {
         const InputState &in = inputs_[i];
-        if (in.packets.empty())
+        const InputFifo &fifo = fifos_[i];
+        if (fifo.packets.empty())
             continue;
-        const PacketRecord &rec = in.packets.front();
+        const PacketRecord &rec = fifo.packets.front();
         std::fprintf(out,
                      "  in%zu.%zu pkts=%zu head=%s arrived=%d "
                      "released=%d decoded=%d outLane=%d upPending=%d "
                      "free=%d\n",
                      i / static_cast<std::size_t>(lanes()),
                      i % static_cast<std::size_t>(lanes()),
-                     in.packets.size(), rec.pkt->toString().c_str(),
+                     fifo.packets.size(), rec.pkt->toString().c_str(),
                      rec.arrived, in.released, in.decoded, in.outLane,
-                     in.upPending, in.freeSlots);
+                     in.upPending, fifo.freeSlots);
         for (const Branch &branch : in.branches) {
             std::fprintf(out, "    branch port=%d sent=%d granted=%d\n",
                          branch.port, branch.sent, branch.granted);
@@ -113,12 +99,7 @@ InputBufferSwitch::step(Cycle now)
         transmit(now);
     }
     release(now);
-    if (lanes() > 1) {
-        int occupied = 0;
-        for (const InputState &input : inputs_)
-            occupied += ibParams_.bufferFlits - input.freeSlots;
-        sampleLaneOccupancy(static_cast<double>(occupied), now);
-    }
+    sampleLaneOccupancy(now);
 }
 
 Cycle
@@ -127,83 +108,13 @@ InputBufferSwitch::nextWork(Cycle now)
     // Buffered packets cover every ongoing activity: branches and
     // output bindings only exist for a resident head packet, and
     // release() frees slots only while packets are queued.
-    for (const InputState &input : inputs_) {
-        if (!input.packets.empty())
-            return now + 1;
-    }
+    if (inputsBuffered())
+        return now + 1;
     for (const OutputState &output : outputs_) {
         if (output.busy())
             return now + 1;
     }
     return earliestLinkArrival();
-}
-
-void
-InputBufferSwitch::intake(Cycle now)
-{
-    for (std::size_t i = 0; i < ins_.size(); ++i) {
-        if (!ins_[i].connected() || !ins_[i].in->peek(now))
-            continue;
-        if (ins_[i].failed) {
-            // Dead link: discard whatever still trickles in (the
-            // fabrication path completes any cut-off packet instead).
-            ins_[i].in->receive(now);
-            noteTombstone();
-            continue;
-        }
-        Flit flit = ins_[i].in->receive(now);
-        MDW_ASSERT(flit.lane >= 0 && flit.lane < lanes(),
-                   "switch %d input %zu: flit on lane %d of %d", id_,
-                   i, flit.lane, lanes());
-        InputState &input = inputs_[laneIdx(i, flit.lane)];
-        MDW_ASSERT(input.freeSlots > 0,
-                   "switch %d input %zu lane %d: flit arrived with "
-                   "full buffer (credit protocol violated)",
-                   id_, i, flit.lane);
-        --input.freeSlots;
-        stats_.flitsIn.inc();
-        if (flit.isHead()) {
-            MDW_ASSERT(flit.pkt->totalFlits() <= ibParams_.bufferFlits,
-                       "packet %llu (%d flits) exceeds input buffer "
-                       "(%d flits)",
-                       static_cast<unsigned long long>(flit.pkt->id),
-                       flit.pkt->totalFlits(), ibParams_.bufferFlits);
-            input.packets.push_back(PacketRecord{flit.pkt, 1});
-        } else {
-            MDW_ASSERT(!input.packets.empty() &&
-                           input.packets.back().pkt->id == flit.pkt->id,
-                       "switch %d input %zu lane %d: interleaved "
-                       "packets on one lane",
-                       id_, i, flit.lane);
-            ++input.packets.back().arrived;
-        }
-        if (sim_)
-            sim_->noteProgress();
-    }
-}
-
-void
-InputBufferSwitch::fabricateFailedArrivals()
-{
-    for (std::size_t i = 0; i < inputs_.size(); ++i) {
-        if (!ins_[i / static_cast<std::size_t>(lanes())].failed)
-            continue;
-        InputState &input = inputs_[i];
-        if (input.packets.empty())
-            continue;
-        PacketRecord &rec = input.packets.back();
-        if (rec.arrived >= rec.pkt->totalFlits() || input.freeSlots <= 0)
-            continue;
-        // The link died mid-packet: materialize the missing flits
-        // locally (one per cycle, as the wire would have) and poison
-        // the id so NICs discard the mangled delivery end-to-end.
-        poisonPacket(*rec.pkt);
-        --input.freeSlots;
-        ++rec.arrived;
-        stats_.flitsIn.inc();
-        if (sim_)
-            sim_->noteProgress();
-    }
 }
 
 int
@@ -235,12 +146,18 @@ InputBufferSwitch::laneCost(const RouteDecision &route, int lane) const
 void
 InputBufferSwitch::decodeHeads(Cycle now)
 {
-    for (auto &input : inputs_) {
-        if (input.decoded || input.packets.empty())
+    for (std::size_t i = 0; i < inputs_.size(); ++i) {
+        InputState &input = inputs_[i];
+        if (input.decoded || fifos_[i].packets.empty())
             continue;
-        const PacketRecord &rec = input.packets.front();
+        const PacketRecord &rec = fifos_[i].packets.front();
         if (rec.arrived < rec.pkt->headerFlits)
             continue;
+        MDW_ASSERT(rec.pkt->totalFlits() <= inputFlits_,
+                   "packet %llu (%d flits) exceeds input buffer "
+                   "(%d flits)",
+                   static_cast<unsigned long long>(rec.pkt->id),
+                   rec.pkt->totalFlits(), inputFlits_);
 
         const RouteDecision route =
             routing_->decode(rec.pkt->dests, params_.variant);
@@ -341,7 +258,10 @@ InputBufferSwitch::arbitrate()
         int branch_idx = branchOf[static_cast<std::size_t>(winner)];
         if (branch_idx == -2) {
             // Adaptive up request: materialize the up branch here.
-            const PacketPtr &pkt = input.packets.front().pkt;
+            const PacketPtr &pkt =
+                fifos_[static_cast<std::size_t>(winner)]
+                    .packets.front()
+                    .pkt;
             input.branches.push_back(
                 Branch{static_cast<PortId>(port),
                        pruneBranch(pkt, input.upDests), 0, true});
@@ -360,7 +280,6 @@ void
 InputBufferSwitch::transmit(Cycle now)
 {
     for (std::size_t port = 0; port < outs_.size(); ++port) {
-        OutPort &out_port = outs_[port];
         // Latency-class lanes are served first, rotating within each
         // class partition (see serviceLane); with one lane this is
         // lane 0 every cycle (the pre-lane iteration order).
@@ -369,60 +288,19 @@ InputBufferSwitch::transmit(Cycle now)
             OutputState &output = outputs_[laneIdx(port, lane)];
             if (!output.busy())
                 continue;
-            InputState &input =
-                inputs_[static_cast<std::size_t>(output.boundInput)];
-            Branch &branch =
-                input.branches[static_cast<std::size_t>(
-                    output.boundBranch)];
-            const PacketRecord &rec = input.packets.front();
+            const auto in = static_cast<std::size_t>(output.boundInput);
+            Branch &branch = inputs_[in].branches[static_cast<std::size_t>(
+                output.boundBranch)];
+            const PacketRecord &rec = fifos_[in].packets.front();
             MDW_ASSERT(rec.pkt->id == branch.pkt->id,
                        "output %zu bound to a non-head packet", port);
 
             if (branch.sent >= rec.arrived)
                 continue; // flit not yet in the buffer
-            if (out_port.failed) {
-                // Tombstone sink: swallow the flit at wire speed so
-                // the buffer slot recycles and sibling branches keep
-                // going.
-                ++branch.sent;
-                noteTombstone();
-                if (sim_)
-                    sim_->noteProgress();
-                if (branch.done()) {
-                    output.boundInput = -1;
-                    output.boundBranch = -1;
-                }
+            if (!sendFlit(port, lane, branch.pkt, branch.sent, now))
                 continue;
-            }
-            if (out_port.credits[static_cast<std::size_t>(lane)] < 1 ||
-                portThrottled(out_port, now))
-                continue;
-            if (out_port.out->busy(now)) {
-                // The physical link already carried another lane's
-                // flit this cycle; this lane was otherwise ready.
-                if (lanes() > 1 &&
-                    !(branch.sent == 0 &&
-                      !canStartPacket(out_port, lane, *branch.pkt)))
-                    noteLaneStall(now, *branch.pkt, port);
-                continue;
-            }
-            if (branch.sent == 0 &&
-                !canStartPacket(out_port, lane, *branch.pkt)) {
-                stats_.reservationStallCycles.inc();
-                traceWorm(WormEvent::ReserveStall, now, *branch.pkt,
-                          static_cast<std::int32_t>(port));
-                continue;
-            }
-            out_port.out->send(Flit{branch.pkt, branch.sent, lane},
-                               now);
             ++branch.sent;
-            --out_port.credits[static_cast<std::size_t>(lane)];
-            notePortSend(port, lane);
-            if (sim_)
-                sim_->noteProgress();
             if (branch.done()) {
-                traceWorm(WormEvent::TailDrain, now, *branch.pkt,
-                          static_cast<std::int32_t>(port));
                 output.boundInput = -1;
                 output.boundBranch = -1;
             }
@@ -492,7 +370,8 @@ InputBufferSwitch::arbitrateSync()
 
         // Commit: bind every port.
         if (up_choice != kInvalidPort) {
-            const PacketPtr &pkt = input.packets.front().pkt;
+            const PacketPtr &pkt =
+                fifos_[static_cast<std::size_t>(i)].packets.front().pkt;
             input.branches.push_back(Branch{
                 up_choice, pruneBranch(pkt, input.upDests), 0, false});
             input.upPending = false;
@@ -517,7 +396,7 @@ InputBufferSwitch::transmitSync(Cycle now)
         InputState &input = inputs_[i];
         if (!fullyGranted(input))
             continue;
-        const PacketRecord &rec = input.packets.front();
+        const PacketRecord &rec = fifos_[i].packets.front();
         const int lane = input.outLane;
         const int sent = input.branches.front().sent;
         if (sent >= rec.arrived)
@@ -587,9 +466,10 @@ InputBufferSwitch::release(Cycle now)
 {
     for (std::size_t i = 0; i < inputs_.size(); ++i) {
         InputState &input = inputs_[i];
-        if (!input.decoded || input.packets.empty())
+        InputFifo &fifo = fifos_[i];
+        if (!input.decoded || fifo.packets.empty())
             continue;
-        const PacketRecord &rec = input.packets.front();
+        const PacketRecord &rec = fifo.packets.front();
         const int total = rec.pkt->totalFlits();
 
         int min_sent = total;
@@ -603,7 +483,7 @@ InputBufferSwitch::release(Cycle now)
         if (min_sent > input.released) {
             const int freed = min_sent - input.released;
             input.released = min_sent;
-            input.freeSlots += freed;
+            fifo.freeSlots += freed;
             const std::size_t port =
                 i / static_cast<std::size_t>(lanes());
             const int lane = static_cast<int>(
@@ -615,7 +495,7 @@ InputBufferSwitch::release(Cycle now)
         if (input.released == total) {
             MDW_ASSERT(rec.arrived == total,
                        "released more flits than arrived");
-            input.packets.pop_front();
+            fifo.packets.pop_front();
             input.decoded = false;
             input.branches.clear();
             input.upPending = false;
@@ -651,16 +531,6 @@ InputBufferSwitch::quiescent(std::string *why) const
             *why += name() + ": " + what + "; ";
         return false;
     };
-    for (std::size_t i = 0; i < inputs_.size(); ++i) {
-        const InputState &input = inputs_[i];
-        if (!input.packets.empty())
-            return complain("input " + std::to_string(i) + " holds " +
-                            std::to_string(input.packets.size()) +
-                            " packet(s)");
-        if (input.freeSlots != ibParams_.bufferFlits)
-            return complain("input " + std::to_string(i) +
-                            " buffer not fully drained");
-    }
     for (std::size_t o = 0; o < outputs_.size(); ++o) {
         if (outputs_[o].busy())
             return complain("output " + std::to_string(o) +

@@ -27,7 +27,6 @@
 #define MDW_SWITCH_INPUT_BUFFER_SWITCH_HH
 
 #include <cstdio>
-#include <deque>
 
 #include "switch/arbiter.hh"
 #include "switch/switch_base.hh"
@@ -61,11 +60,8 @@ class InputBufferSwitch : public SwitchBase
     ReceivePolicy
     receivePolicy(PortId) const override
     {
-        return ReceivePolicy{ibParams_.bufferFlits, true};
+        return ReceivePolicy{inputFlits_, true};
     }
-
-    /** Flits currently buffered at input @p port, all lanes (tests). */
-    int bufferOccupancy(PortId port) const;
 
     /** True if any lane of output @p port streams a branch (tests). */
     bool outputBusy(PortId port) const;
@@ -89,22 +85,12 @@ class InputBufferSwitch : public SwitchBase
         bool done() const { return sent >= pkt->totalFlits(); }
     };
 
-    /** One packet resident (possibly partially) in an input buffer. */
-    struct PacketRecord
-    {
-        PacketPtr pkt;
-        int arrived = 0;
-    };
-
     /**
-     * Per-(input port, lane) buffer state, laneIdx-flattened: each
-     * lane owns an independent FIFO of the full advertised window, so
-     * a multi-lane switch buffers lanes x bufferFlits per port.
+     * Per-(input port, lane) head-packet state, laneIdx-flattened
+     * like the base's input FIFOs (fifos_).
      */
     struct InputState
     {
-        std::deque<PacketRecord> packets;
-        int freeSlots = 0;
         /** Head-packet flits already forwarded by every branch. */
         int released = 0;
         bool decoded = false;
@@ -129,9 +115,6 @@ class InputBufferSwitch : public SwitchBase
         bool busy() const { return boundInput >= 0; }
     };
 
-    void intake(Cycle now);
-    /** Complete packets cut off by a failed input link (fault). */
-    void fabricateFailedArrivals();
     void decodeHeads(Cycle now);
     /** Adaptive lane cost: required output (port, lane) slots busy. */
     int laneCost(const RouteDecision &route, int lane) const;
@@ -146,7 +129,6 @@ class InputBufferSwitch : public SwitchBase
     /** True when every branch of the head packet has its port. */
     static bool fullyGranted(const InputState &input);
 
-    IbParams ibParams_;
     /** laneIdx-flattened: (port, lane) for ports 0..radix. */
     std::vector<InputState> inputs_;
     std::vector<OutputState> outputs_;

@@ -20,10 +20,13 @@ toString(ReplicationMode mode)
 
 SwitchBase::SwitchBase(std::string name, SwitchId id,
                        const SwitchRouting *routing,
-                       const SwitchParams &params)
+                       const SwitchParams &params, int inputFlits)
     : Component(std::move(name)), id_(id), routing_(routing),
-      params_(params),
+      params_(params), inputFlits_(inputFlits),
       ins_(static_cast<std::size_t>(routing->radix())),
+      fifos_(static_cast<std::size_t>(routing->radix()) *
+                 static_cast<std::size_t>(params.lanes),
+             InputFifo{{}, inputFlits}),
       outs_(static_cast<std::size_t>(routing->radix())),
       portTx_(static_cast<std::size_t>(routing->radix())),
       laneTx_(static_cast<std::size_t>(routing->radix()) *
@@ -33,6 +36,7 @@ SwitchBase::SwitchBase(std::string name, SwitchId id,
     MDW_ASSERT(routing != nullptr, "switch %d without routing", id);
     MDW_ASSERT(params.lanes >= 1, "switch %d with %d lanes", id,
                params.lanes);
+    MDW_ASSERT(inputFlits > 0, "switch %d input FIFO must be > 0", id);
 }
 
 void
@@ -154,6 +158,19 @@ SwitchBase::quiescent(std::string *why) const
             }
         }
     }
+    for (std::size_t i = 0; i < fifos_.size(); ++i) {
+        const InputFifo &fifo = fifos_[i];
+        if (fifo.packets.empty() && fifo.freeSlots == inputFlits_)
+            continue;
+        if (why) {
+            *why += name() + ": input " + std::to_string(i) +
+                    " holds " + std::to_string(fifo.packets.size()) +
+                    " packet(s) in " +
+                    std::to_string(inputFlits_ - fifo.freeSlots) +
+                    " FIFO slots; ";
+        }
+        return false;
+    }
     return true;
 }
 
@@ -161,6 +178,17 @@ std::uint64_t
 SwitchBase::portTxFlits(PortId port) const
 {
     return portTx_.at(static_cast<std::size_t>(port)).value();
+}
+
+int
+SwitchBase::inputOccupancy(PortId port) const
+{
+    int occupied = 0;
+    for (int l = 0; l < lanes(); ++l)
+        occupied += inputFlits_ -
+                    fifos_.at(laneIdx(static_cast<std::size_t>(port), l))
+                        .freeSlots;
+    return occupied;
 }
 
 bool
@@ -191,6 +219,139 @@ SwitchBase::collectCredits(Cycle now)
         else
             (void)p.creditIn->receiveByLane(now, p.credits);
     }
+}
+
+void
+SwitchBase::intake(Cycle now)
+{
+    for (std::size_t i = 0; i < ins_.size(); ++i) {
+        if (!ins_[i].connected() || !ins_[i].in->peek(now))
+            continue;
+        if (ins_[i].failed) {
+            // Dead link: whatever was still in flight is lost (the
+            // fabrication path completes any cut-off packet instead).
+            (void)ins_[i].in->receive(now);
+            noteTombstone();
+            continue;
+        }
+        Flit flit = ins_[i].in->receive(now);
+        MDW_ASSERT(flit.lane >= 0 && flit.lane < lanes(),
+                   "switch %d input %zu: flit on lane %d of %d", id_,
+                   i, flit.lane, lanes());
+        InputFifo &fifo = fifos_[laneIdx(i, flit.lane)];
+        MDW_ASSERT(fifo.freeSlots > 0,
+                   "switch %d input %zu lane %d: flit arrived with "
+                   "full FIFO (credit protocol violated)",
+                   id_, i, flit.lane);
+        --fifo.freeSlots;
+        stats_.flitsIn.inc();
+        if (flit.isHead()) {
+            fifo.packets.push_back(PacketRecord{flit.pkt, 1});
+        } else {
+            MDW_ASSERT(!fifo.packets.empty() &&
+                           fifo.packets.back().pkt->id == flit.pkt->id,
+                       "switch %d input %zu lane %d: interleaved "
+                       "packets on one lane",
+                       id_, i, flit.lane);
+            ++fifo.packets.back().arrived;
+        }
+        if (sim_)
+            sim_->noteProgress();
+    }
+}
+
+void
+SwitchBase::fabricateFailedArrivals()
+{
+    // A packet caught mid-reception on a now-dead link would leave
+    // its FIFO slots (and, transitively, whatever the architecture
+    // allocated for it downstream) occupied forever. Fabricate the
+    // missing flits at wire speed: the packet then flows through the
+    // normal pipeline and the poisoned id makes every NIC discard it
+    // on arrival (end-to-end CRC model); retransmission re-covers the
+    // destinations.
+    for (std::size_t i = 0; i < fifos_.size(); ++i) {
+        InputFifo &fifo = fifos_[i];
+        if (!ins_[i / static_cast<std::size_t>(lanes())].failed ||
+            fifo.packets.empty())
+            continue;
+        PacketRecord &rec = fifo.packets.back();
+        if (rec.arrived >= rec.pkt->totalFlits())
+            continue;
+        if (fifo.freeSlots <= 0)
+            continue; // normal backpressure; retry next cycle
+        poisonPacket(*rec.pkt);
+        --fifo.freeSlots;
+        ++rec.arrived;
+        stats_.flitsIn.inc();
+        if (sim_)
+            sim_->noteProgress();
+    }
+}
+
+bool
+SwitchBase::inputsBuffered() const
+{
+    for (const InputFifo &fifo : fifos_) {
+        if (!fifo.packets.empty())
+            return true;
+    }
+    return false;
+}
+
+void
+SwitchBase::sampleLaneOccupancy(Cycle now)
+{
+    if (lanes() == 1)
+        return;
+    int occupied = 0;
+    for (const InputFifo &fifo : fifos_)
+        occupied += inputFlits_ - fifo.freeSlots;
+    laneOcc_.update(static_cast<double>(occupied), now);
+}
+
+bool
+SwitchBase::sendFlit(std::size_t p, int lane, const PacketPtr &pkt,
+                     int seq, Cycle now)
+{
+    OutPort &port = outs_[p];
+    if (port.failed) {
+        // Tombstone sink: swallow the flit at wire speed so upstream
+        // buffers recycle and sibling branches keep going.
+        noteTombstone();
+        if (sim_)
+            sim_->noteProgress();
+        return true;
+    }
+    int &credits = port.credits[static_cast<std::size_t>(lane)];
+    if (credits < 1 || portThrottled(port, now))
+        return false;
+    const bool reserved = seq != 0 || canStartPacket(port, lane, *pkt);
+    if (port.out->busy(now)) {
+        // The physical link already carried another lane's flit this
+        // cycle; count it if this lane was otherwise ready.
+        if (lanes() > 1 && reserved) {
+            stats_.laneStallCycles.inc();
+            traceWorm(WormEvent::LaneStall, now, *pkt,
+                      static_cast<std::int32_t>(p));
+        }
+        return false;
+    }
+    if (!reserved) {
+        stats_.reservationStallCycles.inc();
+        traceWorm(WormEvent::ReserveStall, now, *pkt,
+                  static_cast<std::int32_t>(p));
+        return false;
+    }
+    port.out->send(Flit{pkt, seq, lane}, now);
+    --credits;
+    notePortSend(p, lane);
+    if (sim_)
+        sim_->noteProgress();
+    if (seq + 1 == pkt->totalFlits())
+        traceWorm(WormEvent::TailDrain, now, *pkt,
+                  static_cast<std::int32_t>(p));
+    return true;
 }
 
 bool

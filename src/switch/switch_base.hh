@@ -1,13 +1,16 @@
 /**
  * @file
  * Common machinery shared by the two switch architectures: port
- * wiring, credit-based link flow control, the multidestination
- * whole-packet reservation rule, and per-switch statistics.
+ * wiring, the link-facing datapath (lane-demuxed input FIFOs and the
+ * per-lane flit-send gate), credit-based link flow control, the
+ * multidestination whole-packet reservation rule, and per-switch
+ * statistics.
  */
 
 #ifndef MDW_SWITCH_SWITCH_BASE_HH
 #define MDW_SWITCH_SWITCH_BASE_HH
 
+#include <deque>
 #include <functional>
 #include <string>
 #include <unordered_set>
@@ -105,8 +108,11 @@ struct SwitchStats
 };
 
 /**
- * Base class: owns the port arrays and implements link-level credit
- * flow control. Concrete architectures implement step().
+ * Base class: owns the port arrays and the link-facing datapath —
+ * input intake into per-(port, lane) FIFOs and the per-lane send gate
+ * onto the output links — plus link-level credit flow control.
+ * Concrete architectures own buffering, arbitration and replication,
+ * and implement step().
  */
 class SwitchBase : public Component
 {
@@ -116,9 +122,11 @@ class SwitchBase : public Component
      * @param id Switch id within the topology.
      * @param routing This switch's frozen routing state (not owned).
      * @param params Common parameters.
+     * @param inputFlits Flits of FIFO buffering per (input port, lane).
      */
     SwitchBase(std::string name, SwitchId id,
-               const SwitchRouting *routing, const SwitchParams &params);
+               const SwitchRouting *routing, const SwitchParams &params,
+               int inputFlits);
 
     /** Attach the receive side of port @p port. */
     void connectIn(PortId port, Channel<Flit> *in,
@@ -142,6 +150,9 @@ class SwitchBase : public Component
     /** Flits ever sent on output @p port (link utilization). */
     std::uint64_t portTxFlits(PortId port) const;
 
+    /** Flits buffered at input @p port, all lanes (tests). */
+    int inputOccupancy(PortId port) const;
+
     /**
      * Time-averaged flits buffered across the per-lane input storage
      * of this switch; sampled every step on multi-lane switches, flat
@@ -162,9 +173,10 @@ class SwitchBase : public Component
 
     /**
      * Fail input @p port: flits still arriving on the dead link are
-     * discarded, and the architecture phantom-completes any packet
-     * caught mid-reception (fabricating its missing flits internally
-     * and poisoning its id) so no buffer is left half-filled forever.
+     * discarded, and any packet caught mid-reception is
+     * phantom-completed (its missing flits fabricated into the input
+     * FIFO and its id poisoned) so no buffer is left half-filled
+     * forever.
      */
     void failInPort(PortId port);
 
@@ -199,10 +211,10 @@ class SwitchBase : public Component
     }
 
     /**
-     * End-of-run invariant: no buffered flits, no active streams, and
-     * every non-failed output's credits returned to their initial
-     * value. On failure returns false and appends a reason to @p why
-     * (if given). Architectures extend this with their buffer checks.
+     * End-of-run invariant: every non-failed output's credits returned
+     * to their initial value and every input FIFO empty. On failure
+     * returns false and appends a reason to @p why (if given).
+     * Architectures extend this with their own buffer checks.
      */
     virtual bool quiescent(std::string *why) const;
 
@@ -238,6 +250,24 @@ class SwitchBase : public Component
          *  degraded links). */
         int degrade = 1;
         bool connected() const { return out != nullptr; }
+    };
+
+    /** One packet resident (possibly partially) in an input FIFO. */
+    struct PacketRecord
+    {
+        PacketPtr pkt;
+        int arrived = 0;
+    };
+
+    /**
+     * Per-(input port, lane) flit FIFO, laneIdx-flattened: each lane
+     * owns an independent FIFO of the full advertised window, so a
+     * multi-lane switch buffers lanes x inputFlits per port.
+     */
+    struct InputFifo
+    {
+        std::deque<PacketRecord> packets;
+        int freeSlots = 0;
     };
 
     /** Pull arrived credits on every output port (lane-demuxed). */
@@ -278,22 +308,39 @@ class SwitchBase : public Component
      */
     int serviceLane(Cycle now, int slot) const;
 
-    /** Count a cycle in which @p lane of @p port was ready to send
-     *  but the physical link mux went to another lane. */
-    void
-    noteLaneStall(Cycle now, const PacketDesc &pkt, std::size_t port)
-    {
-        stats_.laneStallCycles.inc();
-        traceWorm(WormEvent::LaneStall, now, pkt,
-                  static_cast<std::int32_t>(port));
-    }
+    /**
+     * Move this cycle's flit (if any) off every input link into its
+     * lane's FIFO. Failed links are drained into tombstones instead.
+     */
+    void intake(Cycle now);
+
+    /**
+     * Complete packets cut off by a failed input link: one fabricated
+     * flit per cycle per lane (as the wire would have delivered), with
+     * the packet id poisoned so NICs discard the mangled delivery.
+     */
+    void fabricateFailedArrivals();
+
+    /** True if any input FIFO holds a (possibly partial) packet. */
+    bool inputsBuffered() const;
 
     /** Sample the per-lane buffered-flit total (multi-lane only). */
-    void
-    sampleLaneOccupancy(double flits, Cycle now)
-    {
-        laneOcc_.update(flits, now);
-    }
+    void sampleLaneOccupancy(Cycle now);
+
+    /**
+     * The per-lane send gate onto output @p port: try to move flit
+     * @p seq of @p pkt across @p lane this cycle. A failed port
+     * swallows the flit as a tombstone. Otherwise the flit waits for
+     * a lane credit and the port's pacing; a lane that was ready but
+     * lost the physical link to another lane counts a lane stall, and
+     * a head flit refused by canStartPacket() counts a reservation
+     * stall. A sent flit spends a credit and is counted; sending the
+     * tail traces the drain.
+     * @return True if the flit left (sent or tombstoned); the caller
+     *         then advances its own buffering state.
+     */
+    bool sendFlit(std::size_t port, int lane, const PacketPtr &pkt,
+                  int seq, Cycle now);
 
     /**
      * Earliest in-flight arrival on any attached link: data flits on
@@ -369,7 +416,11 @@ class SwitchBase : public Component
     SwitchId id_;
     const SwitchRouting *routing_;
     SwitchParams params_;
+    /** Flits of FIFO buffering per (input port, lane). */
+    int inputFlits_;
     std::vector<InPort> ins_;
+    /** laneIdx-flattened: (port, lane) for ports 0..radix. */
+    std::vector<InputFifo> fifos_;
     std::vector<OutPort> outs_;
     std::vector<Counter> portTx_;
     /** Per-(port, lane) tx flits, laneIdx-flattened; registered as

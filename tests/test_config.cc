@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the key=value configuration store, plus the
- * warn-once clamping of out-of-range preset values (switch.lanes).
+ * warn-once clamping of out-of-range preset values (switch.lanes) and
+ * the rejection of unknown keys.
  */
 
 #include <gtest/gtest.h>
@@ -181,6 +182,19 @@ TEST(ConfigDeath, BadLaneAllocIsFatal)
     ExperimentParams params = defaultExperiment();
     EXPECT_DEATH(applyOverrides(cli, net, traffic, params),
                  "unknown lane allocation");
+}
+
+TEST(ConfigDeath, BareWorkloadKeyIsFatal)
+{
+    // Workload settings have one spelling, workload.*; the bare
+    // pre-redesign keys are unknown.
+    Config cli;
+    cli.parseToken("load=0.1");
+    NetworkConfig net = defaultNetwork();
+    TrafficParams traffic = defaultTraffic();
+    ExperimentParams params = defaultExperiment();
+    EXPECT_DEATH(applyOverrides(cli, net, traffic, params),
+                 "unknown config keys: load");
 }
 
 TEST(ConfigDeath, MalformedTokenIsFatal)

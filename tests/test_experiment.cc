@@ -135,9 +135,10 @@ TEST(Presets, ApplyOverridesParsesEveryKnob)
 {
     Config cli;
     for (const char *token :
-         {"arch=ib", "scheme=sw", "k=2", "n=3", "load=0.25",
-          "payload=128", "degree=16", "pattern=bimodal",
-          "mcastFraction=0.4", "routing=replicate-on-up-path",
+         {"arch=ib", "scheme=sw", "k=2", "n=3", "workload.load=0.25",
+          "workload.payload=128", "workload.degree=16",
+          "workload.pattern=bimodal", "workload.mcastFraction=0.4",
+          "routing=replicate-on-up-path",
           "upPolicy=deterministic", "cb.chunks=64", "ib.buffer=600",
           "warmup=123", "measure=456", "seed=9",
           "encoding=multiport"}) {

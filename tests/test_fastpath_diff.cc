@@ -182,10 +182,6 @@ const Scenario kScenarios[] = {
     {"bimodal",
      "workload.pattern=bimodal workload.mcastFraction=0.1 "
      "workload.load=0.15"},
-    // The deprecated bare spellings must keep working (warn-once
-    // aliases onto workload.*).
-    {"legacy_traffic_keys",
-     "pattern=bimodal mcastFraction=0.1 load=0.15 traffic.seed=42"},
     // fig_degree: wide fan-out.
     {"degree16", "workload.degree=16 workload.load=0.08"},
     // fig_msg_length: segmentation and reassembly.
@@ -401,13 +397,14 @@ TEST(LaneDiff, ReplicationKeepsOneLaneClassPerWorm)
 TEST(FastPathDiffTrace, EventSequencesIdentical)
 {
     for (const char *tokens :
-         {"telemetry.trace=1 telemetry.traceCapacity=65536 load=0.05",
-          "telemetry.trace=1 telemetry.traceCapacity=65536 load=0.05 "
-          "fault.links=1 fault.start=600 fault.end=1200 "
+         {"telemetry.trace=1 telemetry.traceCapacity=65536 "
+          "workload.load=0.05",
+          "telemetry.trace=1 telemetry.traceCapacity=65536 "
+          "workload.load=0.05 fault.links=1 fault.start=600 fault.end=1200 "
           "nic.retransmitTimeout=3000",
           // crc_fail/nak/replay events must land on identical cycles.
-          "telemetry.trace=1 telemetry.traceCapacity=65536 load=0.05 "
-          "fault.ber=1e-3 fault.residual=0.05 "
+          "telemetry.trace=1 telemetry.traceCapacity=65536 "
+          "workload.load=0.05 fault.ber=1e-3 fault.residual=0.05 "
           "nic.retransmitTimeout=3000"}) {
         const Config config = withTokens(tokens);
         const ExperimentResult slow = runMode(config, false);

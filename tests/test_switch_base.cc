@@ -31,7 +31,7 @@ class ProbeSwitch : public SwitchBase
 {
   public:
     ProbeSwitch(const SwitchRouting *routing, const SwitchParams &params)
-        : SwitchBase("probe", 0, routing, params)
+        : SwitchBase("probe", 0, routing, params, 16)
     {
     }
 
@@ -40,7 +40,7 @@ class ProbeSwitch : public SwitchBase
     ReceivePolicy
     receivePolicy(PortId) const override
     {
-        return ReceivePolicy{16, false};
+        return ReceivePolicy{inputFlits_, false};
     }
 
     using SwitchBase::canStartPacket;
