@@ -35,7 +35,7 @@ main(int argc, char **argv)
     int chunkFlits = 0;
     for (int chunks : sizes) {
         NetworkConfig net = networkFor(Scheme::CbHw);
-        TrafficParams traffic = defaultTraffic();
+        WorkloadParams traffic = defaultTraffic();
         ExperimentParams params = benchExperiment(quick);
         applyOverrides(cli, net, traffic, params);
         net.cb.cqChunks = chunks;

@@ -38,7 +38,7 @@ main(int argc, char **argv)
     for (int degree : degrees) {
         for (McastEncoding encoding : encodings) {
             NetworkConfig net = networkFor(Scheme::CbHw);
-            TrafficParams traffic = defaultTraffic();
+            WorkloadParams traffic = defaultTraffic();
             ExperimentParams params = benchExperiment(quick);
             applyOverrides(cli, net, traffic, params);
             net.nic.encoding = encoding;

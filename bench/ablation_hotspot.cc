@@ -41,7 +41,7 @@ main(int argc, char **argv)
     for (double fraction : fractions) {
         for (SwitchArch arch : archs) {
             NetworkConfig net = defaultNetwork();
-            TrafficParams traffic = defaultTraffic();
+            WorkloadParams traffic = defaultTraffic();
             ExperimentParams params = benchExperiment(quick);
             applyOverrides(cli, net, traffic, params);
             net.arch = arch;

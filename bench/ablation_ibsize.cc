@@ -39,7 +39,7 @@ main(int argc, char **argv)
     armFatalReport(sc, runner);
     for (int flits : sizes) {
         NetworkConfig net = networkFor(Scheme::IbHw);
-        TrafficParams traffic = defaultTraffic();
+        WorkloadParams traffic = defaultTraffic();
         ExperimentParams params = benchExperiment(quick);
         applyOverrides(cli, net, traffic, params);
         net.ib.bufferFlits = flits;
@@ -52,7 +52,7 @@ main(int argc, char **argv)
     {
         // Reference: the central-buffer switch at the same load.
         NetworkConfig net = networkFor(Scheme::CbHw);
-        TrafficParams traffic = defaultTraffic();
+        WorkloadParams traffic = defaultTraffic();
         ExperimentParams params = benchExperiment(quick);
         applyOverrides(cli, net, traffic, params);
         traffic.load = 0.05;

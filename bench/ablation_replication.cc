@@ -37,7 +37,7 @@ main(int argc, char **argv)
     for (double load : loadGrid(quick)) {
         for (ReplicationMode mode : modes) {
             NetworkConfig net = networkFor(Scheme::IbHw);
-            TrafficParams traffic = defaultTraffic();
+            WorkloadParams traffic = defaultTraffic();
             ExperimentParams params = benchExperiment(quick);
             applyOverrides(cli, net, traffic, params);
             net.sw.replication = mode;

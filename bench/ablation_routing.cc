@@ -35,7 +35,7 @@ main(int argc, char **argv)
     for (double load : loadGrid(quick)) {
         for (RoutingVariant variant : variants) {
             NetworkConfig net = networkFor(Scheme::CbHw);
-            TrafficParams traffic = defaultTraffic();
+            WorkloadParams traffic = defaultTraffic();
             ExperimentParams params = benchExperiment(quick);
             applyOverrides(cli, net, traffic, params);
             net.sw.variant = variant;

@@ -37,7 +37,7 @@ main(int argc, char **argv)
     for (double load : loadGrid(quick)) {
         for (TopologyKind topo : topos) {
             NetworkConfig net = networkFor(Scheme::CbHw);
-            TrafficParams traffic = defaultTraffic();
+            WorkloadParams traffic = defaultTraffic();
             ExperimentParams params = benchExperiment(quick);
             applyOverrides(cli, net, traffic, params);
             net.topo = topo;

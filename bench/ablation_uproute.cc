@@ -34,7 +34,7 @@ main(int argc, char **argv)
     for (double load : loadGrid(quick)) {
         for (UpPortPolicy policy : policies) {
             NetworkConfig net = networkFor(Scheme::CbHw);
-            TrafficParams traffic = defaultTraffic();
+            WorkloadParams traffic = defaultTraffic();
             ExperimentParams params = benchExperiment(quick);
             applyOverrides(cli, net, traffic, params);
             net.sw.upPolicy = policy;

@@ -113,7 +113,7 @@ main(int argc, char **argv)
              << " retryLimit=" << net.link.retryLimit;
 
         Network network(net);
-        TrafficParams traffic;
+        WorkloadParams traffic;
         traffic.pattern = TrafficPattern::MultipleMulticast;
         traffic.load = 0.02 + 0.01 * pick(0, 8);
         traffic.payloadFlits = 8 << pick(0, 3);
@@ -121,7 +121,7 @@ main(int argc, char **argv)
         traffic.seed = baseSeed + 7 * c + 1;
         traffic.stopCycle = 3000;
         SyntheticTraffic source(network.numHosts(), traffic);
-        network.attachTraffic(&source);
+        network.attachWorkload(&source);
         network.armWatchdog(100000);
 
         network.sim().run(3000);

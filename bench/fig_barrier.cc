@@ -8,12 +8,10 @@
  * sets the barrier cost.
  */
 
-#include <memory>
-
 #include "bench_common.hh"
 
-#include "core/collectives.hh"
 #include "core/hw_barrier.hh"
+#include "workload/kernels.hh"
 
 namespace {
 
@@ -26,69 +24,84 @@ struct BarrierResult
     double bgUnicastLatency = 0.0;
 };
 
-BarrierResult
-measure(Scheme scheme, bool hwCombining, double bgLoad, int rounds,
-        const Config &cli, bool quick)
+/** Mean hardware-barrier round time (switch combining + release). */
+double
+hwBarrierCycles(Network &net, int rounds, Cycle warmup, Cycle spacing)
 {
-    NetworkConfig netcfg = networkFor(scheme);
-    TrafficParams traffic = defaultTraffic();
-    ExperimentParams params = benchExperiment(quick);
-    applyOverrides(cli, netcfg, traffic, params);
-
-    Network net(netcfg);
-    std::unique_ptr<CollectiveEngine> coll;
-    std::unique_ptr<HwBarrierManager> hw;
-    if (hwCombining)
-        hw = std::make_unique<HwBarrierManager>(net);
-    else
-        coll = std::make_unique<CollectiveEngine>(net);
-
-    // Background unicast traffic, running for the whole experiment.
-    TrafficParams bg;
-    bg.pattern = TrafficPattern::UniformUnicast;
-    bg.load = bgLoad;
-    bg.payloadFlits = 64;
-    SyntheticTraffic source(net.numHosts(), bg);
-    if (bgLoad > 0.0)
-        net.attachTraffic(&source);
-    net.tracker().setWindow(0, kNoCycle);
-    net.armWatchdog(200000);
-
-    // Warm the background up.
-    net.sim().run(quick ? 2000 : 5000);
-
-    DestSet everyone(net.numHosts());
-    for (NodeId m = 1; m < static_cast<NodeId>(net.numHosts()); ++m)
-        everyone.set(m);
-    int group = -1;
-    if (hwCombining) {
-        DestSet all = everyone;
-        all.set(0);
-        group = hw->createGroup(all);
-    }
+    HwBarrierManager hw(net);
+    net.sim().run(warmup);
+    DestSet all(net.numHosts());
+    for (NodeId m = 0; m < static_cast<NodeId>(net.numHosts()); ++m)
+        all.set(m);
+    const int group = hw.createGroup(all);
 
     Sampler barrier_cycles;
     for (int round = 0; round < rounds; ++round) {
         const Cycle start = net.sim().now();
         bool finished = false;
         Cycle done_at = 0;
-        const auto on_done = [&](Cycle now) {
+        hw.startBarrier(group, [&](Cycle now) {
             finished = true;
             done_at = now;
-        };
-        if (hwCombining)
-            hw->startBarrier(group, on_done);
-        else
-            coll->barrier(0, everyone, on_done);
+        });
         if (!net.sim().runUntil([&] { return finished; }, 500000))
             break;
         barrier_cycles.add(static_cast<double>(done_at - start));
-        // Space the rounds out a little.
-        net.sim().run(quick ? 500 : 2000);
+        net.sim().run(spacing);
     }
+    return barrier_cycles.mean();
+}
+
+BarrierResult
+measure(Scheme scheme, bool hwCombining, double bgLoad, int rounds,
+        const Config &cli, bool quick)
+{
+    NetworkConfig netcfg = networkFor(scheme);
+    WorkloadParams traffic = defaultTraffic();
+    ExperimentParams params = benchExperiment(quick);
+    applyOverrides(cli, netcfg, traffic, params);
+    // Warm the background up, then space the rounds out a little.
+    const Cycle warmup = quick ? 2000 : 5000;
+    const Cycle spacing = quick ? 500 : 2000;
+
+    Network net(netcfg);
+
+    // Background unicast traffic, running for the whole experiment.
+    WorkloadParams bg;
+    bg.pattern = TrafficPattern::UniformUnicast;
+    bg.load = bgLoad;
+    bg.payloadFlits = 64;
+    SyntheticTraffic source(net.numHosts(), bg);
+    net.tracker().setWindow(0, kNoCycle);
+    net.armWatchdog(200000);
 
     BarrierResult result;
-    result.meanCycles = barrier_cycles.mean();
+    if (hwCombining) {
+        if (bgLoad > 0.0)
+            net.attachWorkload(&source);
+        result.meanCycles = hwBarrierCycles(net, rounds, warmup, spacing);
+    } else {
+        // Arrive unicasts to root 0, then its release multicast; the
+        // kernel polls ahead of the background in every NIC.
+        WorkloadParams kp;
+        kp.kind = WorkloadKind::Collective;
+        kp.collective = CollectiveOp::Barrier;
+        kp.rounds = rounds;
+        kp.startCycle = warmup;
+        kp.think = spacing;
+        CollectiveKernelWorkload kernel(net.numHosts(), kp);
+        std::vector<Workload *> children{&kernel};
+        if (bgLoad > 0.0)
+            children.push_back(&source);
+        WorkloadMix mix(std::move(children));
+        net.attachWorkload(&mix);
+        net.sim().runUntil([&] { return kernel.exhausted(); },
+                           warmup + Cycle(rounds) * 500000);
+        // The spacing after the last round, as the hardware path.
+        net.sim().run(spacing);
+        net.detachWorkload();
+        result.meanCycles = kernel.roundCycles().mean();
+    }
     result.bgUnicastLatency = net.tracker().unicastLatency().mean();
     return result;
 }

@@ -44,7 +44,7 @@ main(int argc, char **argv)
         for (const int n : levels) {
             for (const Scheme scheme : kAllSchemes) {
                 NetworkConfig net = networkFor(scheme);
-                TrafficParams traffic = defaultTraffic();
+                WorkloadParams traffic = defaultTraffic();
                 ExperimentParams params = benchExperiment(quick);
                 // Closed-loop: no warmup/measure split; the run ends
                 // when the workload exhausts, bounded by drainLimit

@@ -122,7 +122,7 @@ main(int argc, char **argv)
         // -- exactly the scalability limit the paper's multiport
         // encoding exists to remove. Use it for the scale curve.
         network.nic.encoding = McastEncoding::Multiport;
-        TrafficParams traffic = defaultTraffic();
+        WorkloadParams traffic = defaultTraffic();
         // Light load: at extreme size the interesting quantities are
         // the per-cycle scheduling costs and the boundary traffic,
         // not saturation behavior. (Not *too* light, though — the
@@ -189,7 +189,7 @@ main(int argc, char **argv)
         NetworkConfig network = networkFor(Scheme::CbHw);
         network.fatTreeN = 5; // 1024 hosts
         network.fastPath = true;
-        TrafficParams traffic = defaultTraffic();
+        WorkloadParams traffic = defaultTraffic();
         traffic.load = 0.3; // heavily contended: nothing sleeps long
         ExperimentParams params;
         params.warmup = quick ? 200 : 1000;

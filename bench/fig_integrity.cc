@@ -52,7 +52,7 @@ main(int argc, char **argv)
         for (double load : kLoads) {
             for (Scheme scheme : kSchemes) {
                 NetworkConfig net = networkFor(scheme);
-                TrafficParams traffic = defaultTraffic();
+                WorkloadParams traffic = defaultTraffic();
                 ExperimentParams params = benchExperiment(quick);
                 applyOverrides(cli, net, traffic, params);
                 traffic.load = load;

@@ -59,7 +59,7 @@ main(int argc, char **argv)
         for (double load : loads) {
             for (int lanes : kLaneGrid) {
                 NetworkConfig net = networkFor(scheme);
-                TrafficParams traffic = defaultTraffic();
+                WorkloadParams traffic = defaultTraffic();
                 ExperimentParams params = benchExperiment(quick);
                 applyOverrides(cli, net, traffic, params);
                 net.sw.lanes = lanes;

@@ -39,7 +39,7 @@ main(int argc, char **argv)
     for (int faults : kFaultCounts) {
         for (Scheme scheme : kSchemes) {
             NetworkConfig net = networkFor(scheme);
-            TrafficParams traffic = defaultTraffic();
+            WorkloadParams traffic = defaultTraffic();
             ExperimentParams params = benchExperiment(quick);
             applyOverrides(cli, net, traffic, params);
             net.faultSpec.links = faults;

@@ -35,7 +35,7 @@ main(int argc, char **argv)
     for (int n : stages) {
         for (Scheme scheme : kAllSchemes) {
             NetworkConfig net = networkFor(scheme);
-            TrafficParams traffic = defaultTraffic();
+            WorkloadParams traffic = defaultTraffic();
             ExperimentParams params = benchExperiment(quick);
             applyOverrides(cli, net, traffic, params);
             net.fatTreeN = n;

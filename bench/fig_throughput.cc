@@ -32,7 +32,7 @@ main(int argc, char **argv)
     for (double load : loadGrid(quick)) {
         for (Scheme scheme : kAllSchemes) {
             NetworkConfig net = networkFor(scheme);
-            TrafficParams traffic = defaultTraffic();
+            WorkloadParams traffic = defaultTraffic();
             ExperimentParams params = benchExperiment(quick);
             applyOverrides(cli, net, traffic, params);
             traffic.load = load;

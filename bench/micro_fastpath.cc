@@ -100,7 +100,7 @@ main(int argc, char **argv)
     for (const Case &c : kCases) {
         NetworkConfig network = networkFor(Scheme::CbHw);
         network.fatTreeN = c.fatTreeN;
-        TrafficParams traffic = defaultTraffic();
+        WorkloadParams traffic = defaultTraffic();
         traffic.load = c.load;
         ExperimentParams params = benchExperiment(quick);
 

@@ -21,10 +21,10 @@ runNetwork(benchmark::State &state, SwitchArch arch, int stages)
     config.fatTreeN = stages;
     Network net(config);
 
-    TrafficParams traffic = defaultTraffic();
+    WorkloadParams traffic = defaultTraffic();
     traffic.load = 0.08;
     SyntheticTraffic source(net.numHosts(), traffic);
-    net.attachTraffic(&source);
+    net.attachWorkload(&source);
 
     // Warm the pipes so the steady state is measured.
     net.sim().run(2000);

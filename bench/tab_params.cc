@@ -18,7 +18,7 @@ main(int argc, char **argv)
     const SweepCli sc = parseSweepCli(cli, "E9");
 
     NetworkConfig net = defaultNetwork();
-    TrafficParams traffic = defaultTraffic();
+    WorkloadParams traffic = defaultTraffic();
     ExperimentParams params = defaultExperiment();
     applyOverrides(cli, net, traffic, params);
     Network network(net);

@@ -37,7 +37,7 @@ main(int argc, char **argv)
         net.nic.sendOverhead = 40;
         net.nic.recvOverhead = 40;
 
-        TrafficParams traffic;
+        WorkloadParams traffic;
         traffic.pattern = TrafficPattern::Bimodal;
         traffic.load = 0.06;
         traffic.payloadFlits = 16; // an invalidation + address block

@@ -1,83 +1,53 @@
 /**
  * @file
- * MPI-style collective operations through the CollectiveEngine: a
- * barrier (arrive unicasts + release multicast), a broadcast, and an
- * allreduce among a communicator subset, timed under all three
- * multicast implementations. This is the broadcast+reduction pattern
- * the paper's introduction motivates.
+ * MPI-style collectives as closed-loop kernels: a barrier (arrive
+ * unicasts + release multicast), an allreduce (reduce unicasts +
+ * result multicast), and an invalidation round (a rotating owner
+ * multicasts to every other member) over one communicator, timed
+ * under all three multicast implementations. This is the
+ * broadcast+reduction pattern the paper's introduction motivates.
  *
  * Run: ./collective_barrier [key=value ...]  (e.g. members=32)
  */
 
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 
-#include "core/collectives.hh"
 #include "core/presets.hh"
+#include "workload/kernels.hh"
 
 namespace {
 
 using namespace mdw;
 
-struct OpTimes
-{
-    double barrier = 0.0;
-    double broadcast = 0.0;
-    double allreduce = 0.0;
-};
-
-Cycle
-timeOp(Network &net, const std::function<void(CollectiveEngine::Done)>
-                         &start)
-{
-    const Cycle begin = net.sim().now();
-    bool finished = false;
-    Cycle done_at = 0;
-    start([&](Cycle now) {
-        finished = true;
-        done_at = now;
-    });
-    if (!net.sim().runUntil([&] { return finished; }, 1000000)) {
-        std::fprintf(stderr, "collective did not complete\n");
-        std::exit(1);
-    }
-    // Let stragglers (e.g. slow release copies) drain between ops.
-    net.sim().runUntil([&net] { return net.idle(); }, 100000);
-    return done_at - begin;
-}
-
-OpTimes
-run(Scheme scheme, int members_wanted, int rounds)
+/** Mean cycles per round of @p op over a group of @p groupSize. */
+double
+meanRound(Scheme scheme, CollectiveOp op, int groupSize, int rounds)
 {
     NetworkConfig netcfg = networkFor(scheme);
     netcfg.nic.sendOverhead = 50;
     netcfg.nic.recvOverhead = 50;
     Network net(netcfg);
-    CollectiveEngine coll(net);
 
-    const NodeId root = 0;
-    DestSet members(net.numHosts());
-    for (NodeId m = 1;
-         m <= members_wanted && m < static_cast<NodeId>(net.numHosts());
-         ++m) {
-        members.set(m);
+    WorkloadParams params;
+    params.kind = WorkloadKind::Collective;
+    params.collective = op;
+    params.rounds = rounds;
+    // groupSize 0 = every host; a smaller group is drawn from the seed.
+    params.groupSize =
+        groupSize >= static_cast<int>(net.numHosts()) ? 0 : groupSize;
+    params.payloadFlits = op == CollectiveOp::Allreduce ? 16 : 64;
+    CollectiveKernelWorkload kernel(net.numHosts(), params);
+    net.attachWorkload(&kernel);
+    if (!net.sim().runUntil(
+            [&] { return kernel.exhausted() && net.idle(); },
+            1000000)) {
+        std::fprintf(stderr, "collective did not complete\n");
+        std::exit(1);
     }
-
-    Sampler barrier, broadcast, allreduce;
-    for (int round = 0; round < rounds; ++round) {
-        barrier.add(static_cast<double>(timeOp(
-            net, [&](CollectiveEngine::Done done) {
-                coll.barrier(root, members, std::move(done));
-            })));
-        broadcast.add(static_cast<double>(timeOp(
-            net, [&](CollectiveEngine::Done done) {
-                coll.broadcast(root, members, 64, std::move(done));
-            })));
-        allreduce.add(static_cast<double>(timeOp(
-            net, [&](CollectiveEngine::Done done) {
-                coll.allreduce(root, members, 16, std::move(done));
-            })));
-    }
-    return OpTimes{barrier.mean(), broadcast.mean(), allreduce.mean()};
+    net.detachWorkload();
+    return kernel.roundCycles().mean();
 }
 
 } // namespace
@@ -88,22 +58,28 @@ main(int argc, char **argv)
     Config cli;
     cli.parseArgs(argc, argv);
     const int members =
-        static_cast<int>(cli.getInt("members", 31));
-    const int rounds = static_cast<int>(cli.getInt("rounds", 4));
+        std::max(1, static_cast<int>(cli.getInt("members", 31)));
+    const int rounds =
+        std::max(1, static_cast<int>(cli.getInt("rounds", 4)));
 
     std::printf("collective operations on a 64-node bidirectional "
                 "MIN\n%d members + root, %d rounds, cycles per "
                 "operation\n\n",
                 members, rounds);
     std::printf("%-10s %10s %10s %10s\n", "scheme", "barrier",
-                "broadcast", "allreduce");
+                "allreduce", "invalidate");
     for (Scheme scheme : kAllSchemes) {
-        const OpTimes t = run(scheme, members, rounds);
+        double t[3];
+        int i = 0;
+        for (CollectiveOp op :
+             {CollectiveOp::Barrier, CollectiveOp::Allreduce,
+              CollectiveOp::Invalidate})
+            t[i++] = meanRound(scheme, op, members + 1, rounds);
         std::printf("%-10s %10.0f %10.0f %10.0f\n", toString(scheme),
-                    t.barrier, t.broadcast, t.allreduce);
+                    t[0], t[1], t[2]);
     }
     std::printf("\nEvery operation contains one release/result "
-                "broadcast; single-phase\nmultidestination worms cut "
+                "multicast; single-phase\nmultidestination worms cut "
                 "it to one traversal plus one start-up.\n");
     return 0;
 }

@@ -49,7 +49,7 @@ main(int argc, char **argv)
         net.irregular = netcfg.irregular;
         net.seed = netcfg.seed;
 
-        TrafficParams traffic;
+        WorkloadParams traffic;
         traffic.pattern = TrafficPattern::MultipleMulticast;
         traffic.load = 0.015;
         traffic.payloadFlits = 32;

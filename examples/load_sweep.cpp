@@ -31,7 +31,7 @@ main(int argc, char **argv)
     options.baseSeed = cli.getU64("baseSeed", 0);
 
     NetworkConfig netcfg = defaultNetwork();
-    TrafficParams traffic = defaultTraffic();
+    WorkloadParams traffic = defaultTraffic();
     ExperimentParams expcfg = defaultExperiment();
     expcfg.warmup = 3000;
     expcfg.measure = 8000;
@@ -41,7 +41,7 @@ main(int argc, char **argv)
     const double loads[] = {0.01, 0.02, 0.04, 0.08, 0.12, 0.16};
     SweepRunner runner(options);
     for (double load : loads) {
-        TrafficParams t = traffic;
+        WorkloadParams t = traffic;
         t.load = load;
         char label[32];
         std::snprintf(label, sizeof(label), "load=%.2f", load);

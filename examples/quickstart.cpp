@@ -22,7 +22,7 @@ main(int argc, char **argv)
     NetworkConfig netcfg = defaultNetwork();
     netcfg.fatTreeK = 4;
     netcfg.fatTreeN = 2; // 16 hosts
-    TrafficParams traffic = defaultTraffic();
+    WorkloadParams traffic = defaultTraffic();
     ExperimentParams expcfg = defaultExperiment();
     applyOverrides(cli, netcfg, traffic, expcfg);
 

@@ -119,7 +119,7 @@ main(int argc, char **argv)
     TraceTraffic trace = TraceTraffic::fromFile(path, net.numHosts());
     std::printf("replaying %zu events on %s\n\n", trace.size(),
                 net.topology().describe().c_str());
-    net.attachTraffic(&trace);
+    net.attachWorkload(&trace);
     net.armWatchdog(50000);
 
     const bool done = net.sim().runUntil(

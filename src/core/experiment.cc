@@ -94,7 +94,7 @@ finishResult(Network &net, ExperimentResult &result,
 
 } // namespace
 
-Experiment::Experiment(NetworkConfig network, TrafficParams traffic,
+Experiment::Experiment(NetworkConfig network, WorkloadParams traffic,
                        ExperimentParams params)
     : network_(std::move(network)), traffic_(traffic), params_(params)
 {
@@ -125,10 +125,10 @@ Experiment::run()
     if (traffic_.kind != WorkloadKind::Synthetic)
         return runClosedLoop(net);
 
-    TrafficParams traffic = traffic_;
+    WorkloadParams traffic = traffic_;
     traffic.stopCycle = params_.warmup + params_.measure;
     SyntheticTraffic source(net.numHosts(), traffic);
-    net.attachTraffic(&source);
+    net.attachWorkload(&source);
 
     net.tracker().setWindow(params_.warmup,
                             params_.warmup + params_.measure);
@@ -264,7 +264,7 @@ identicalResults(const ExperimentResult &a, const ExperimentResult &b)
 }
 
 std::vector<ExperimentResult>
-sweepLoads(const NetworkConfig &network, const TrafficParams &traffic,
+sweepLoads(const NetworkConfig &network, const WorkloadParams &traffic,
            const ExperimentParams &params,
            const std::vector<double> &loads, int threads)
 {
@@ -272,7 +272,7 @@ sweepLoads(const NetworkConfig &network, const TrafficParams &traffic,
     options.threads = threads;
     SweepRunner runner(options);
     for (double load : loads) {
-        TrafficParams t = traffic;
+        WorkloadParams t = traffic;
         t.load = load;
         char label[32];
         std::snprintf(label, sizeof(label), "load=%.4f", load);

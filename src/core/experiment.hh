@@ -238,7 +238,7 @@ bool identicalResults(const ExperimentResult &a,
 class Experiment
 {
   public:
-    Experiment(NetworkConfig network, TrafficParams traffic,
+    Experiment(NetworkConfig network, WorkloadParams traffic,
                ExperimentParams params);
 
     /** Execute the run and return its measurements. */
@@ -259,7 +259,7 @@ class Experiment
     ExperimentResult runClosedLoop(Network &net);
 
     NetworkConfig network_;
-    TrafficParams traffic_;
+    WorkloadParams traffic_;
     ExperimentParams params_;
 };
 
@@ -271,7 +271,7 @@ class Experiment
  * identical to a serial sweep.
  */
 std::vector<ExperimentResult> sweepLoads(const NetworkConfig &network,
-                                         const TrafficParams &traffic,
+                                         const WorkloadParams &traffic,
                                          const ExperimentParams &params,
                                          const std::vector<double> &loads,
                                          int threads = 1);

@@ -11,15 +11,15 @@
  * an ordinary multidestination worm to all members — whose last
  * delivery completes the barrier.
  *
- * Compared to the software arrive+release barrier (CollectiveEngine),
- * the gather side costs one token per tree hop instead of one unicast
- * message per member converging on the root's ejection link, and the
- * release is emitted in the middle of the network rather than from a
- * host.
+ * Compared to the software arrive+release barrier (the Barrier
+ * collective kernel, workload/kernels.hh), the gather side costs one
+ * token per tree hop instead of one unicast message per member
+ * converging on the root's ejection link, and the release is emitted
+ * in the middle of the network rather than from a host.
  *
  * Requires the central-buffer architecture (the SP-Switch-style
- * design the companion paper targets). Hooks every NIC's delivery
- * callback, so it cannot share a Network with a CollectiveEngine.
+ * design the companion paper targets). Takes over every NIC's
+ * delivery callback, so one manager per Network.
  */
 
 #ifndef MDW_CORE_HW_BARRIER_HH

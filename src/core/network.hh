@@ -178,12 +178,6 @@ class Network
      */
     void detachWorkload();
 
-    /** Pre-redesign name of attachWorkload(). */
-    void attachTraffic(TrafficSource *source)
-    {
-        attachWorkload(source);
-    }
-
     /** Largest packet (header + payload) the system can produce. */
     int maxPacketFlits() const { return maxPacketFlits_; }
 

@@ -87,10 +87,10 @@ networkFor(Scheme scheme)
     return config;
 }
 
-TrafficParams
+WorkloadParams
 defaultTraffic()
 {
-    TrafficParams traffic;
+    WorkloadParams traffic;
     traffic.pattern = TrafficPattern::MultipleMulticast;
     traffic.load = 0.05;
     traffic.payloadFlits = 64;
@@ -108,7 +108,7 @@ defaultExperiment()
 
 void
 applyOverrides(const Config &config, NetworkConfig &network,
-               TrafficParams &traffic, ExperimentParams &params)
+               WorkloadParams &traffic, ExperimentParams &params)
 {
     // Topology.
     const std::string topo =

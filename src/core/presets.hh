@@ -41,7 +41,7 @@ NetworkConfig defaultNetwork();
 NetworkConfig networkFor(Scheme scheme);
 
 /** Default workload: multiple multicast, degree 8, 64-flit payload. */
-TrafficParams defaultTraffic();
+WorkloadParams defaultTraffic();
 
 /** Default phase lengths for latency-vs-load experiments. */
 ExperimentParams defaultExperiment();
@@ -52,7 +52,7 @@ ExperimentParams defaultExperiment();
  * unknown keys trigger fatal() so typos never silently no-op.
  */
 void applyOverrides(const Config &config, NetworkConfig &network,
-                    TrafficParams &traffic, ExperimentParams &params);
+                    WorkloadParams &traffic, ExperimentParams &params);
 
 } // namespace mdw
 

@@ -115,7 +115,7 @@ SweepRunner::add(SweepRun run)
 
 std::size_t
 SweepRunner::add(std::string label, const NetworkConfig &network,
-                 const TrafficParams &traffic,
+                 const WorkloadParams &traffic,
                  const ExperimentParams &params)
 {
     return add(SweepRun{std::move(label), network, traffic, params});

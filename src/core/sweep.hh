@@ -36,7 +36,7 @@ struct SweepRun
 {
     std::string label;
     NetworkConfig network;
-    TrafficParams traffic;
+    WorkloadParams traffic;
     ExperimentParams params;
 };
 
@@ -125,7 +125,7 @@ class SweepRunner
     /** Queue a run; returns its index (= position in results()). */
     std::size_t add(SweepRun run);
     std::size_t add(std::string label, const NetworkConfig &network,
-                    const TrafficParams &traffic,
+                    const WorkloadParams &traffic,
                     const ExperimentParams &params);
 
     std::size_t size() const { return runs_.size(); }

@@ -149,14 +149,11 @@ class Nic : public Component
      *  also feeds the workload's onPosted/onDelivered hooks. */
     void setWorkload(Workload *workload) { source_ = workload; }
 
-    /** Pre-redesign name of setWorkload(). */
-    void setTrafficSource(TrafficSource *source) { source_ = source; }
-
     /**
      * Callback invoked on every *message-level* delivery at this
      * node (after reassembly), with the descriptor of the completing
      * packet, the message's total payload, and the cycle. Used by
-     * the collective-operations engine.
+     * the hardware barrier (core/hw_barrier.hh).
      */
     using DeliveryCallback =
         std::function<void(const PacketDesc &, int, Cycle)>;

@@ -3,14 +3,14 @@
  * Workload interface between the host layer and traffic generators.
  *
  * A Workload is polled by every NIC for messages to post (the
- * open-loop half, unchanged from the original TrafficSource API) and
- * is additionally *notified* of message progress: onPosted() when a
- * polled spec has been assigned a message id, onDelivered() for every
- * per-destination copy, and onCompleted() when the tracker retires
- * the whole message. Closed-loop workloads use those notifications to
- * release dependent messages, which in turn wakes the sleeping NIC of
- * the releasing node through the wake hook — so the idle-skipping
- * fast path stays bit-identical to the always-polled oracle.
+ * open-loop half) and is additionally *notified* of message
+ * progress: onPosted() when a polled spec has been assigned a message
+ * id, onDelivered() for every per-destination copy, and onCompleted()
+ * when the tracker retires the whole message. Closed-loop workloads
+ * use those notifications to release dependent messages, which in
+ * turn wakes the sleeping NIC of the releasing node through the wake
+ * hook — so the idle-skipping fast path stays bit-identical to the
+ * always-polled oracle.
  *
  * Determinism contract (the "release rule"): a hook observing an
  * event at cycle t may schedule new emissions no earlier than t+1.
@@ -89,11 +89,10 @@ class Workload
      * A message was posted by @p src's NIC and assigned @p msg.
      * @p token is the originating spec's correlation id (0 for
      * untracked specs and for messages posted directly through the
-     * NIC API, e.g. by the collective engine). Invoked *before* the
-     * send leaves the NIC, so it always precedes onDelivered() and
-     * onCompleted() for @p msg — even when a post retires
-     * synchronously because every destination is written off as
-     * unreachable.
+     * NIC API). Invoked *before* the send leaves the NIC, so it
+     * always precedes onDelivered() and onCompleted() for @p msg —
+     * even when a post retires synchronously because every
+     * destination is written off as unreachable.
      */
     virtual void
     onPosted(NodeId src, std::uint64_t token, MsgId msg, Cycle now)
@@ -118,8 +117,9 @@ class Workload
     /**
      * The tracker retired @p msg (every destination delivered or
      * written off as unreachable). Also fires for messages other
-     * agents posted (e.g. the collective engine), so implementations
-     * must ignore unknown ids.
+     * agents posted (a sibling in a WorkloadMix, the hardware
+     * barrier's release worm), so implementations must ignore
+     * unknown ids.
      */
     virtual void
     onCompleted(MsgId msg, NodeId src, Cycle now)
@@ -141,7 +141,8 @@ class Workload
     /** Wake @p node's NIC no later than cycle @p when (fast path). */
     using WakeFn = std::function<void(NodeId, Cycle)>;
 
-    /** Installed by Network::attachWorkload; not for user code. */
+    /** Installed by Network::attachWorkload and by WorkloadMix on its
+     *  children; not for user code. */
     void setWakeHook(WakeFn fn) { wakeHook_ = std::move(fn); }
 
   protected:
@@ -156,9 +157,6 @@ class Workload
   private:
     WakeFn wakeHook_;
 };
-
-/** Pre-redesign name of the interface (open-loop call sites). */
-using TrafficSource = Workload;
 
 } // namespace mdw
 

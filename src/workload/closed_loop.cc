@@ -51,7 +51,7 @@ ClosedLoopWorkload::onDelivered(MsgId msg, NodeId node, Cycle now)
 {
     const auto it = tokenOf_.find(msg);
     if (it == tokenOf_.end())
-        return; // not ours (collective engine, untagged spec, ...)
+        return; // not ours (another workload, untagged spec, ...)
     inHook_ = true;
     hookCycle_ = now;
     onTokenDelivered(it->second, node, now);

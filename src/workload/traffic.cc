@@ -49,7 +49,7 @@ toString(CollectiveOp op)
 }
 
 SyntheticTraffic::SyntheticTraffic(std::size_t numHosts,
-                                   const TrafficParams &params)
+                                   const WorkloadParams &params)
     : numHosts_(numHosts), params_(params)
 {
     MDW_ASSERT(numHosts >= 2, "traffic needs at least two hosts");

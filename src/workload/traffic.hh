@@ -9,6 +9,7 @@
 #ifndef MDW_WORKLOAD_TRAFFIC_HH
 #define MDW_WORKLOAD_TRAFFIC_HH
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
@@ -115,14 +116,11 @@ struct WorkloadParams
     std::string tracePath;
 };
 
-/** Pre-redesign name (the struct used to cover synthetic only). */
-using TrafficParams = WorkloadParams;
-
 /** Open-loop Bernoulli-arrival workload generator. */
 class SyntheticTraffic : public Workload
 {
   public:
-    SyntheticTraffic(std::size_t numHosts, const TrafficParams &params);
+    SyntheticTraffic(std::size_t numHosts, const WorkloadParams &params);
 
     void poll(NodeId node, Cycle now,
               std::vector<MessageSpec> &out) override;
@@ -148,7 +146,7 @@ class SyntheticTraffic : public Workload
     DestSet randomDests(NodeState &state, NodeId self, int degree);
 
     std::size_t numHosts_;
-    TrafficParams params_;
+    WorkloadParams params_;
     double rate_;
     std::vector<NodeState> nodes_;
     std::uint64_t generated_ = 0;
@@ -180,6 +178,82 @@ class ScriptedTraffic : public Workload
     /** Per node, postings keyed by cycle. */
     std::map<NodeId, std::map<Cycle, std::vector<MessageSpec>>> script_;
     std::size_t pending_ = 0;
+};
+
+/**
+ * Several workloads sharing one network, e.g. a closed-loop collective
+ * over an open-loop background. Each NIC polls the children in the
+ * order given, so the first child's specs are posted first in a cycle;
+ * every notification reaches every child (each ignores messages it did
+ * not emit, so closed-loop children need disjoint tokens); a child's
+ * wake() reaches the network the mix is attached to. The children
+ * must outlive the mix.
+ */
+class WorkloadMix : public Workload
+{
+  public:
+    explicit WorkloadMix(std::vector<Workload *> children)
+        : children_(std::move(children))
+    {
+        for (Workload *child : children_)
+            child->setWakeHook(
+                [this](NodeId node, Cycle when) { wake(node, when); });
+    }
+
+    ~WorkloadMix() override
+    {
+        for (Workload *child : children_)
+            child->setWakeHook(nullptr);
+    }
+
+    void
+    poll(NodeId node, Cycle now, std::vector<MessageSpec> &out) override
+    {
+        for (Workload *child : children_)
+            child->poll(node, now, out);
+    }
+
+    Cycle
+    nextArrival(NodeId node, Cycle now) override
+    {
+        Cycle earliest = kNoCycle;
+        for (Workload *child : children_)
+            earliest = std::min(earliest, child->nextArrival(node, now));
+        return earliest;
+    }
+
+    void
+    onPosted(NodeId src, std::uint64_t token, MsgId msg,
+             Cycle now) override
+    {
+        for (Workload *child : children_)
+            child->onPosted(src, token, msg, now);
+    }
+
+    void
+    onDelivered(MsgId msg, NodeId node, Cycle now) override
+    {
+        for (Workload *child : children_)
+            child->onDelivered(msg, node, now);
+    }
+
+    void
+    onCompleted(MsgId msg, NodeId src, Cycle now) override
+    {
+        for (Workload *child : children_)
+            child->onCompleted(msg, src, now);
+    }
+
+    bool
+    exhausted() const override
+    {
+        return std::all_of(
+            children_.begin(), children_.end(),
+            [](const Workload *child) { return child->exhausted(); });
+    }
+
+  private:
+    std::vector<Workload *> children_;
 };
 
 } // namespace mdw

@@ -137,7 +137,7 @@ TEST(Config, OutOfRangeLanesClampWithOneWarning)
         Config cli;
         cli.parseToken("switch.lanes=99");
         NetworkConfig net = defaultNetwork();
-        TrafficParams traffic = defaultTraffic();
+        WorkloadParams traffic = defaultTraffic();
         ExperimentParams params = defaultExperiment();
         applyOverrides(cli, net, traffic, params);
         EXPECT_EQ(net.sw.lanes, kMaxLanes);
@@ -146,7 +146,7 @@ TEST(Config, OutOfRangeLanesClampWithOneWarning)
         Config cli;
         cli.parseToken("switch.lanes=0");
         NetworkConfig net = defaultNetwork();
-        TrafficParams traffic = defaultTraffic();
+        WorkloadParams traffic = defaultTraffic();
         ExperimentParams params = defaultExperiment();
         applyOverrides(cli, net, traffic, params);
         EXPECT_EQ(net.sw.lanes, 1); // clamps up, too
@@ -165,7 +165,7 @@ TEST(Config, LaneKnobsParse)
     cli.parseToken("switch.laneAlloc=adaptive");
     cli.parseToken("workload.mcastClass=1");
     NetworkConfig net = defaultNetwork();
-    TrafficParams traffic = defaultTraffic();
+    WorkloadParams traffic = defaultTraffic();
     ExperimentParams params = defaultExperiment();
     applyOverrides(cli, net, traffic, params);
     EXPECT_EQ(net.sw.lanes, 4);
@@ -178,7 +178,7 @@ TEST(ConfigDeath, BadLaneAllocIsFatal)
     Config cli;
     cli.parseToken("switch.laneAlloc=psychic");
     NetworkConfig net = defaultNetwork();
-    TrafficParams traffic = defaultTraffic();
+    WorkloadParams traffic = defaultTraffic();
     ExperimentParams params = defaultExperiment();
     EXPECT_DEATH(applyOverrides(cli, net, traffic, params),
                  "unknown lane allocation");
@@ -191,7 +191,7 @@ TEST(ConfigDeath, BareWorkloadKeyIsFatal)
     Config cli;
     cli.parseToken("load=0.1");
     NetworkConfig net = defaultNetwork();
-    TrafficParams traffic = defaultTraffic();
+    WorkloadParams traffic = defaultTraffic();
     ExperimentParams params = defaultExperiment();
     EXPECT_DEATH(applyOverrides(cli, net, traffic, params),
                  "unknown config keys: load");

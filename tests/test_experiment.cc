@@ -34,7 +34,7 @@ smallNet()
 
 TEST(Experiment, LowLoadRunDrainsAndMeasures)
 {
-    TrafficParams traffic = defaultTraffic();
+    WorkloadParams traffic = defaultTraffic();
     traffic.load = 0.02;
     traffic.mcastDegree = 4;
     traffic.payloadFlits = 32;
@@ -53,7 +53,7 @@ TEST(Experiment, LowLoadRunDrainsAndMeasures)
 
 TEST(Experiment, AbsurdLoadReportsSaturation)
 {
-    TrafficParams traffic = defaultTraffic();
+    WorkloadParams traffic = defaultTraffic();
     traffic.load = 0.8;
     traffic.mcastDegree = 15;
     traffic.payloadFlits = 32;
@@ -67,7 +67,7 @@ TEST(Experiment, AbsurdLoadReportsSaturation)
 
 TEST(Experiment, DeliveryMultiplierByPattern)
 {
-    TrafficParams traffic = defaultTraffic();
+    WorkloadParams traffic = defaultTraffic();
     traffic.mcastDegree = 8;
     traffic.pattern = TrafficPattern::UniformUnicast;
     EXPECT_DOUBLE_EQ(
@@ -89,7 +89,7 @@ TEST(Experiment, DeliveryMultiplierByPattern)
 
 TEST(Experiment, ResultsAreReproducible)
 {
-    TrafficParams traffic = defaultTraffic();
+    WorkloadParams traffic = defaultTraffic();
     traffic.load = 0.03;
     traffic.payloadFlits = 32;
     traffic.mcastDegree = 4;
@@ -104,7 +104,7 @@ TEST(Experiment, ResultsAreReproducible)
 
 TEST(Experiment, SweepLoadsPreservesOrderAndMonotonicity)
 {
-    TrafficParams traffic = defaultTraffic();
+    WorkloadParams traffic = defaultTraffic();
     traffic.payloadFlits = 32;
     traffic.mcastDegree = 4;
     const std::vector<double> loads{0.01, 0.06};
@@ -145,7 +145,7 @@ TEST(Presets, ApplyOverridesParsesEveryKnob)
         cli.parseToken(token);
     }
     NetworkConfig net = defaultNetwork();
-    TrafficParams traffic = defaultTraffic();
+    WorkloadParams traffic = defaultTraffic();
     ExperimentParams params = defaultExperiment();
     applyOverrides(cli, net, traffic, params);
 
@@ -173,7 +173,7 @@ TEST(PresetsDeath, UnknownKeyIsFatal)
     Config cli;
     cli.parseToken("tpyo=1");
     NetworkConfig net = defaultNetwork();
-    TrafficParams traffic = defaultTraffic();
+    WorkloadParams traffic = defaultTraffic();
     ExperimentParams params = defaultExperiment();
     EXPECT_DEATH(applyOverrides(cli, net, traffic, params),
                  "unknown config keys");
@@ -184,7 +184,7 @@ TEST(PresetsDeath, BadEnumValueIsFatal)
     Config cli;
     cli.parseToken("arch=quantum");
     NetworkConfig net = defaultNetwork();
-    TrafficParams traffic = defaultTraffic();
+    WorkloadParams traffic = defaultTraffic();
     ExperimentParams params = defaultExperiment();
     EXPECT_DEATH(applyOverrides(cli, net, traffic, params),
                  "unknown arch");
@@ -192,7 +192,7 @@ TEST(PresetsDeath, BadEnumValueIsFatal)
 
 TEST(Experiment, PercentilesBracketTheMean)
 {
-    TrafficParams traffic = defaultTraffic();
+    WorkloadParams traffic = defaultTraffic();
     traffic.load = 0.04;
     traffic.payloadFlits = 32;
     traffic.mcastDegree = 4;
@@ -205,7 +205,7 @@ TEST(Experiment, PercentilesBracketTheMean)
 
 TEST(Experiment, HotSpotPatternRuns)
 {
-    TrafficParams traffic;
+    WorkloadParams traffic;
     traffic.pattern = TrafficPattern::HotSpot;
     traffic.load = 0.05;
     traffic.payloadFlits = 32;
@@ -231,7 +231,7 @@ TEST(Network, DumpStateSmoke)
 
 TEST(Experiment, LinkUtilizationTracksLoad)
 {
-    TrafficParams traffic = defaultTraffic();
+    WorkloadParams traffic = defaultTraffic();
     traffic.payloadFlits = 32;
     traffic.mcastDegree = 4;
     traffic.load = 0.02;

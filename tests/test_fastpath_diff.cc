@@ -30,6 +30,7 @@
 #include "core/hw_barrier.hh"
 #include "core/network.hh"
 #include "core/presets.hh"
+#include "scoped_env.hh"
 #include "sim/config.hh"
 #include "switch/arbiter.hh"
 #include "workload/traffic.hh"
@@ -54,7 +55,7 @@ runMode(const Config &config, bool fastPath, std::size_t shards = 1,
         unsigned shardThreads = 1)
 {
     NetworkConfig network = defaultNetwork();
-    TrafficParams traffic = defaultTraffic();
+    WorkloadParams traffic = defaultTraffic();
     ExperimentParams params = defaultExperiment();
     applyOverrides(config, network, traffic, params);
     network.fastPath = fastPath;
@@ -421,6 +422,9 @@ TEST(FastPathDiffTrace, EventSequencesIdentical)
 // vetoed these configs).
 TEST(ShardDiff, ShardAndThreadCountsBitIdentical)
 {
+    // Sharding needs the fast path; the suite-wide oracle override
+    // (MDW_FAST_PATH=0) would veto every shard and void the check.
+    const ScopedEnv fastPath("MDW_FAST_PATH", nullptr);
     const char *tokensList[] = {
         "telemetry.trace=1 telemetry.traceCapacity=65536 "
         "workload.load=0.1",
@@ -459,12 +463,13 @@ TEST(ShardDiff, ShardAndThreadCountsBitIdentical)
 // sharding rather than race: hardware barriers and the fault layers.
 TEST(ShardDiff, SerialOnlySubsystemsVetoSharding)
 {
+    const ScopedEnv fastPath("MDW_FAST_PATH", nullptr);
     {
         const Config config = withTokens(
             "fault.links=1 fault.start=600 fault.end=1200 "
             "nic.retransmitTimeout=3000 workload.load=0.05");
         NetworkConfig network = defaultNetwork();
-        TrafficParams traffic = defaultTraffic();
+        WorkloadParams traffic = defaultTraffic();
         ExperimentParams params = defaultExperiment();
         applyOverrides(config, network, traffic, params);
         network.shards = 4;
@@ -535,7 +540,7 @@ TEST(FastPathDiff, IdleSystemFullyDeregisters)
     spec.payloadFlits = 16;
     traffic.post(0, 0, spec);
     for (NodeId n = 0; n < static_cast<NodeId>(net.numHosts()); ++n)
-        net.nic(n).setTrafficSource(&traffic);
+        net.nic(n).setWorkload(&traffic);
 
     // Let the cycle-0 poll inject before polling idle() (which is
     // vacuously true on an empty network).

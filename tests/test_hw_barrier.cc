@@ -7,10 +7,10 @@
 
 #include <gtest/gtest.h>
 
-#include "core/collectives.hh"
 #include "core/hw_barrier.hh"
 #include "core/presets.hh"
 #include "switch/barrier_unit.hh"
+#include "workload/kernels.hh"
 
 namespace mdw {
 namespace {
@@ -206,15 +206,16 @@ TEST(HwBarrier, BeatsTheSoftwareBarrier)
     }();
     auto sw = [] {
         Network net(barrierNet());
-        CollectiveEngine coll(net);
-        DestSet others(net.numHosts());
-        for (NodeId m = 1; m < 16; ++m)
-            others.set(m);
-        const Cycle start = net.sim().now();
-        Cycle done_at = 0;
-        coll.barrier(0, others, [&](Cycle now) { done_at = now; });
-        net.sim().runUntil([&net] { return net.idle(); }, 200000);
-        return done_at - start;
+        WorkloadParams params;
+        params.kind = WorkloadKind::Collective;
+        params.collective = CollectiveOp::Barrier;
+        params.rounds = 1;
+        CollectiveKernelWorkload kernel(net.numHosts(), params);
+        net.attachWorkload(&kernel);
+        net.sim().runUntil(
+            [&] { return kernel.exhausted() && net.idle(); }, 200000);
+        net.detachWorkload();
+        return static_cast<Cycle>(kernel.roundCycles().mean());
     }();
     ASSERT_GT(hw, 0u);
     ASSERT_GT(sw, 0u);

@@ -125,14 +125,14 @@ TEST(NetworkBuilder, DeterministicAcrossIdenticalBuilds)
         config.topo = TopologyKind::Irregular;
         config.seed = 77;
         Network net(config);
-        TrafficParams traffic;
+        WorkloadParams traffic;
         traffic.pattern = TrafficPattern::MultipleMulticast;
         traffic.load = 0.02;
         traffic.payloadFlits = 32;
         traffic.mcastDegree = 4;
         traffic.stopCycle = 3000;
         SyntheticTraffic source(net.numHosts(), traffic);
-        net.attachTraffic(&source);
+        net.attachWorkload(&source);
         net.sim().run(3000);
         net.sim().runUntil([&net] { return net.idle(); }, 200000);
         return net.tracker().mcastLastLatency().mean() +

@@ -50,7 +50,7 @@ TEST_P(E2eMatrix, RandomTrafficDrainsWithoutDeadlock)
     config.nic.recvOverhead = 20;
     Network net(config);
 
-    TrafficParams traffic;
+    WorkloadParams traffic;
     traffic.pattern = TrafficPattern::Bimodal;
     traffic.load = 0.08;
     traffic.payloadFlits = 32;
@@ -59,7 +59,7 @@ TEST_P(E2eMatrix, RandomTrafficDrainsWithoutDeadlock)
     traffic.seed = c.seed * 7 + 1;
     traffic.stopCycle = 8000;
     SyntheticTraffic source(net.numHosts(), traffic);
-    net.attachTraffic(&source);
+    net.attachWorkload(&source);
 
     net.armWatchdog(20000);
     net.sim().run(8000);
@@ -121,7 +121,7 @@ TEST(E2eIrregular, MulticastOnRandomNowDrains)
         config.seed = seed;
         Network net(config);
 
-        TrafficParams traffic;
+        WorkloadParams traffic;
         traffic.pattern = TrafficPattern::MultipleMulticast;
         traffic.load = 0.05;
         traffic.payloadFlits = 32;
@@ -129,7 +129,7 @@ TEST(E2eIrregular, MulticastOnRandomNowDrains)
         traffic.seed = seed;
         traffic.stopCycle = 5000;
         SyntheticTraffic source(net.numHosts(), traffic);
-        net.attachTraffic(&source);
+        net.attachWorkload(&source);
 
         net.armWatchdog(20000);
         net.sim().run(5000);
@@ -169,7 +169,7 @@ TEST_P(IrregularStress, SustainedLoadNeverWedges)
     config.seed = seed;
     Network net(config);
 
-    TrafficParams traffic;
+    WorkloadParams traffic;
     traffic.pattern = TrafficPattern::MultipleMulticast;
     traffic.load = 0.04; // well past saturation for this NOW
     traffic.payloadFlits = 32;
@@ -177,7 +177,7 @@ TEST_P(IrregularStress, SustainedLoadNeverWedges)
     traffic.seed = seed + 100;
     traffic.stopCycle = 8000;
     SyntheticTraffic source(net.numHosts(), traffic);
-    net.attachTraffic(&source);
+    net.attachWorkload(&source);
 
     net.armWatchdog(30000);
     net.sim().run(8000);
@@ -204,14 +204,14 @@ TEST(E2eStress, HighLoadBroadcastStormStaysCorrect)
     config.fatTreeN = 2;
     Network net(config);
 
-    TrafficParams traffic;
+    WorkloadParams traffic;
     traffic.pattern = TrafficPattern::MultipleMulticast;
     traffic.load = 0.5; // far beyond saturation with degree 15
     traffic.payloadFlits = 32;
     traffic.mcastDegree = 15; // broadcast
     traffic.stopCycle = 3000;
     SyntheticTraffic source(net.numHosts(), traffic);
-    net.attachTraffic(&source);
+    net.attachWorkload(&source);
 
     net.armWatchdog(50000);
     net.sim().run(3000);
@@ -241,14 +241,14 @@ TEST(E2eStress, TinyCentralQueueStillDeadlockFree)
     config.maxPayloadFlits = 32;
     Network net(config);
 
-    TrafficParams traffic;
+    WorkloadParams traffic;
     traffic.pattern = TrafficPattern::MultipleMulticast;
     traffic.load = 0.2;
     traffic.payloadFlits = 32;
     traffic.mcastDegree = 7;
     traffic.stopCycle = 4000;
     SyntheticTraffic source(net.numHosts(), traffic);
-    net.attachTraffic(&source);
+    net.attachWorkload(&source);
 
     net.armWatchdog(50000);
     net.sim().run(4000);
@@ -286,7 +286,7 @@ TEST_P(CopyConservation, DeliveriesEqualInjectionsPlusReplications)
     config.nic.recvOverhead = 10;
     Network net(config);
 
-    TrafficParams traffic;
+    WorkloadParams traffic;
     traffic.pattern = TrafficPattern::Bimodal;
     traffic.load = 0.06;
     traffic.payloadFlits = 24;
@@ -294,7 +294,7 @@ TEST_P(CopyConservation, DeliveriesEqualInjectionsPlusReplications)
     traffic.mcastFraction = 0.4;
     traffic.stopCycle = 5000;
     SyntheticTraffic source(net.numHosts(), traffic);
-    net.attachTraffic(&source);
+    net.attachWorkload(&source);
 
     net.armWatchdog(30000);
     net.sim().run(5000);
@@ -330,14 +330,14 @@ TEST(E2eScale, LargeSystemSmokeTest)
     EXPECT_EQ(net.numHosts(), 256u);
     EXPECT_EQ(net.numSwitches(), 256u);
 
-    TrafficParams traffic;
+    WorkloadParams traffic;
     traffic.pattern = TrafficPattern::MultipleMulticast;
     traffic.load = 0.02;
     traffic.payloadFlits = 32;
     traffic.mcastDegree = 16;
     traffic.stopCycle = 2000;
     SyntheticTraffic source(net.numHosts(), traffic);
-    net.attachTraffic(&source);
+    net.attachWorkload(&source);
 
     net.armWatchdog(50000);
     net.sim().run(2000);

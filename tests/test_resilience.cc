@@ -110,7 +110,7 @@ TEST(Resilience, LinkFailureMidMulticastRecoversViaRetransmission)
     Network net(config);
     ASSERT_NE(net.resilience(), nullptr);
 
-    TrafficParams traffic;
+    WorkloadParams traffic;
     traffic.pattern = TrafficPattern::MultipleMulticast;
     traffic.load = 0.12;
     traffic.payloadFlits = 48;
@@ -118,7 +118,7 @@ TEST(Resilience, LinkFailureMidMulticastRecoversViaRetransmission)
     traffic.seed = 9;
     traffic.stopCycle = 4000;
     SyntheticTraffic source(net.numHosts(), traffic);
-    net.attachTraffic(&source);
+    net.attachWorkload(&source);
 
     net.armWatchdog(50000);
     net.sim().run(4000);
@@ -369,7 +369,7 @@ TEST(Resilience, FaultedExperimentIsDeterministic)
     network.faultSpec.seed = 3;
     network.nic.retransmitTimeout = 2500;
 
-    TrafficParams traffic = defaultTraffic();
+    WorkloadParams traffic = defaultTraffic();
     traffic.load = 0.08;
     traffic.payloadFlits = 32;
     traffic.mcastDegree = 6;
@@ -414,7 +414,7 @@ TEST(Resilience, InputBufferArchitectureRecoversToo)
     config.faultPlan.add(e);
 
     Network net(config);
-    TrafficParams traffic;
+    WorkloadParams traffic;
     traffic.pattern = TrafficPattern::MultipleMulticast;
     traffic.load = 0.12;
     traffic.payloadFlits = 48;
@@ -422,7 +422,7 @@ TEST(Resilience, InputBufferArchitectureRecoversToo)
     traffic.seed = 9;
     traffic.stopCycle = 4000;
     SyntheticTraffic source(net.numHosts(), traffic);
-    net.attachTraffic(&source);
+    net.attachWorkload(&source);
 
     net.armWatchdog(50000);
     net.sim().run(4000);
@@ -460,7 +460,7 @@ TEST(Resilience, SoftwareSchemeRecoversLostCarriers)
     config.faultPlan.add(e);
 
     Network net(config);
-    TrafficParams traffic;
+    WorkloadParams traffic;
     traffic.pattern = TrafficPattern::MultipleMulticast;
     traffic.load = 0.10;
     traffic.payloadFlits = 32;
@@ -468,7 +468,7 @@ TEST(Resilience, SoftwareSchemeRecoversLostCarriers)
     traffic.seed = 5;
     traffic.stopCycle = 4000;
     SyntheticTraffic source(net.numHosts(), traffic);
-    net.attachTraffic(&source);
+    net.attachWorkload(&source);
 
     net.armWatchdog(50000);
     net.sim().run(4000);
@@ -583,7 +583,7 @@ TEST(Resilience, RetransmitTimersFireFromSleep)
         NetworkConfig c = config;
         c.fastPath = mode == 1;
         Network net(c);
-        TrafficParams traffic;
+        WorkloadParams traffic;
         traffic.pattern = TrafficPattern::MultipleMulticast;
         traffic.load = 0.08;
         traffic.payloadFlits = 32;
@@ -591,7 +591,7 @@ TEST(Resilience, RetransmitTimersFireFromSleep)
         traffic.seed = 11;
         traffic.stopCycle = 2000;
         SyntheticTraffic source(net.numHosts(), traffic);
-        net.attachTraffic(&source);
+        net.attachWorkload(&source);
 
         net.armWatchdog(50000);
         net.sim().run(2000);
@@ -861,7 +861,7 @@ TEST(Resilience, ResidualErrorsAreCaughtEndToEnd)
     config.nic.retransmitTimeout = 2500;
 
     Network net(config);
-    TrafficParams traffic;
+    WorkloadParams traffic;
     traffic.pattern = TrafficPattern::MultipleMulticast;
     traffic.load = 0.08;
     traffic.payloadFlits = 32;
@@ -869,7 +869,7 @@ TEST(Resilience, ResidualErrorsAreCaughtEndToEnd)
     traffic.seed = 13;
     traffic.stopCycle = 3000;
     SyntheticTraffic source(net.numHosts(), traffic);
-    net.attachTraffic(&source);
+    net.attachWorkload(&source);
 
     net.armWatchdog(50000);
     net.sim().run(3000);

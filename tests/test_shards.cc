@@ -20,6 +20,7 @@
 #include "message/pool.hh"
 #include "sim/channel.hh"
 #include "sim/shard_context.hh"
+#include "scoped_env.hh"
 #include "sim/telemetry.hh"
 #include "workload/traffic.hh"
 
@@ -258,22 +259,26 @@ TEST(ShardedTracer, CapacityBoundsTheMergedTail)
 // ---------------------------------------------------------------------
 // Network-level sharding
 // ---------------------------------------------------------------------
+//
+// Sharding needs the fast path, so tests that expect it engaged build
+// their networks with MDW_FAST_PATH unset: the suite-wide oracle
+// override (MDW_FAST_PATH=0) would otherwise veto every shard.
 
 TEST(ShardedNetwork, EnvOverrideForcesShardCount)
 {
-    ::setenv("MDW_SHARDS", "2", 1);
-    ::setenv("MDW_SHARD_THREADS", "1", 1);
+    const ScopedEnv fastPath("MDW_FAST_PATH", nullptr);
+    const ScopedEnv shards("MDW_SHARDS", "2");
+    const ScopedEnv threads("MDW_SHARD_THREADS", "1");
     NetworkConfig config = defaultNetwork();
     config.shards = 1;
     Network net(config);
     EXPECT_EQ(net.effectiveShards(), 2u);
     EXPECT_EQ(net.config().shards, 2u);
-    ::unsetenv("MDW_SHARDS");
-    ::unsetenv("MDW_SHARD_THREADS");
 }
 
 TEST(ShardedNetwork, PerShardTotalsRollUpToFlatTotals)
 {
+    const ScopedEnv fastPath("MDW_FAST_PATH", nullptr);
     NetworkConfig config = defaultNetwork();
     config.fastPath = true;
     config.shards = 4;
@@ -291,7 +296,7 @@ TEST(ShardedNetwork, PerShardTotalsRollUpToFlatTotals)
         traffic.post(0, n, spec);
     }
     for (NodeId n = 0; n < hosts; ++n)
-        net.nic(n).setTrafficSource(&traffic);
+        net.nic(n).setWorkload(&traffic);
     net.sim().run(5);
     ASSERT_TRUE(net.sim().runUntil([&] { return net.idle(); }, 50000));
 
@@ -342,17 +347,12 @@ TEST(ShardedNetwork, RequireSerialDissolvesSharding)
 {
     // Pin the shard count: the CI shards job runs the whole suite
     // under MDW_SHARDS=4, which would otherwise override config.
-    const char *oldShards = ::getenv("MDW_SHARDS");
-    const std::string saved = oldShards != nullptr ? oldShards : "";
-    ::setenv("MDW_SHARDS", "2", 1);
+    const ScopedEnv fastPath("MDW_FAST_PATH", nullptr);
+    const ScopedEnv shards("MDW_SHARDS", "2");
     NetworkConfig config = defaultNetwork();
     config.fastPath = true;
     config.shards = 2;
     Network net(config);
-    if (oldShards != nullptr)
-        ::setenv("MDW_SHARDS", saved.c_str(), 1);
-    else
-        ::unsetenv("MDW_SHARDS");
     ASSERT_EQ(net.effectiveShards(), 2u);
     net.requireSerial("test subsystem");
     EXPECT_EQ(net.effectiveShards(), 0u);
@@ -366,7 +366,7 @@ TEST(ShardedNetwork, RequireSerialDissolvesSharding)
     spec.payloadFlits = 16;
     traffic.post(0, 0, spec);
     for (NodeId n = 0; n < static_cast<NodeId>(net.numHosts()); ++n)
-        net.nic(n).setTrafficSource(&traffic);
+        net.nic(n).setWorkload(&traffic);
     net.sim().run(5);
     ASSERT_TRUE(net.sim().runUntil([&] { return net.idle(); }, 20000));
     EXPECT_EQ(net.nic(static_cast<NodeId>(net.numHosts() - 1))

@@ -41,7 +41,7 @@ makeSweep(SweepOptions options)
         for (Scheme scheme : kAllSchemes) {
             NetworkConfig net = networkFor(scheme);
             net.fatTreeN = 2; // 16 hosts
-            TrafficParams traffic = defaultTraffic();
+            WorkloadParams traffic = defaultTraffic();
             traffic.mcastDegree = 4;
             traffic.load = load;
             runner.add(toString(scheme), net, traffic, quickParams());
@@ -107,7 +107,7 @@ TEST(Sweep, SerialRunnerMatchesDirectExperiments)
         for (Scheme scheme : kAllSchemes) {
             NetworkConfig net = networkFor(scheme);
             net.fatTreeN = 2;
-            TrafficParams traffic = defaultTraffic();
+            WorkloadParams traffic = defaultTraffic();
             traffic.mcastDegree = 4;
             traffic.load = load;
             const ExperimentResult direct =
@@ -217,7 +217,7 @@ TEST(Sweep, SweepLoadsParallelMatchesSerial)
 {
     NetworkConfig net = defaultNetwork();
     net.fatTreeN = 2;
-    TrafficParams traffic = defaultTraffic();
+    WorkloadParams traffic = defaultTraffic();
     traffic.mcastDegree = 4;
     const std::vector<double> loads = {0.02, 0.04, 0.08};
 

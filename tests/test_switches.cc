@@ -334,7 +334,7 @@ TEST(SyncReplication, RandomTrafficDrains)
         config.seed = seed;
         Network net(config);
 
-        TrafficParams traffic;
+        WorkloadParams traffic;
         traffic.pattern = TrafficPattern::MultipleMulticast;
         traffic.load = 0.05;
         traffic.payloadFlits = 32;
@@ -342,7 +342,7 @@ TEST(SyncReplication, RandomTrafficDrains)
         traffic.seed = seed;
         traffic.stopCycle = 6000;
         SyntheticTraffic source(net.numHosts(), traffic);
-        net.attachTraffic(&source);
+        net.attachWorkload(&source);
 
         net.armWatchdog(30000);
         net.sim().run(6000);

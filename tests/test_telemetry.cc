@@ -164,10 +164,10 @@ smallNet()
     return config;
 }
 
-TrafficParams
+WorkloadParams
 lightMcast()
 {
-    TrafficParams traffic = defaultTraffic();
+    WorkloadParams traffic = defaultTraffic();
     traffic.load = 0.03;
     traffic.mcastDegree = 4;
     traffic.payloadFlits = 16;
@@ -252,7 +252,7 @@ TEST(Telemetry, ParallelSweepAggregatesByteIdenticalToSerial)
     parallel.threads = 4;
     SweepRunner one(serial), four(parallel);
     for (double load : testLoads()) {
-        TrafficParams t = lightMcast();
+        WorkloadParams t = lightMcast();
         t.load = load;
         one.add("run", config, t, params);
         four.add("run", config, t, params);

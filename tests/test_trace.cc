@@ -312,7 +312,7 @@ TEST(TraceTraffic, DrivesANetworkEndToEnd)
     trace.add(unicastEvent(0, 0, 9, 32));
     trace.add(mcastEvent(50, 4, {1, 2, 12}, 48));
     trace.add(unicastEvent(100, 9, 0, 16));
-    net.attachTraffic(&trace);
+    net.attachWorkload(&trace);
 
     net.armWatchdog(10000);
     // Idle alone is not enough: the network is trivially idle before

@@ -12,7 +12,7 @@ namespace {
 
 TEST(SyntheticTraffic, RateMatchesLoad)
 {
-    TrafficParams params;
+    WorkloadParams params;
     params.pattern = TrafficPattern::UniformUnicast;
     params.load = 0.2;
     params.payloadFlits = 50;
@@ -31,7 +31,7 @@ TEST(SyntheticTraffic, RateMatchesLoad)
 
 TEST(SyntheticTraffic, UnicastSpecsAreValid)
 {
-    TrafficParams params;
+    WorkloadParams params;
     params.pattern = TrafficPattern::UniformUnicast;
     params.load = 0.5;
     params.payloadFlits = 10;
@@ -51,7 +51,7 @@ TEST(SyntheticTraffic, UnicastSpecsAreValid)
 
 TEST(SyntheticTraffic, UnicastDestinationsRoughlyUniform)
 {
-    TrafficParams params;
+    WorkloadParams params;
     params.pattern = TrafficPattern::UniformUnicast;
     params.load = 1.0;
     params.payloadFlits = 1;
@@ -69,7 +69,7 @@ TEST(SyntheticTraffic, UnicastDestinationsRoughlyUniform)
 
 TEST(SyntheticTraffic, MulticastDegreeAndSelfExclusion)
 {
-    TrafficParams params;
+    WorkloadParams params;
     params.pattern = TrafficPattern::MultipleMulticast;
     params.load = 0.5;
     params.payloadFlits = 10;
@@ -88,7 +88,7 @@ TEST(SyntheticTraffic, MulticastDegreeAndSelfExclusion)
 
 TEST(SyntheticTraffic, BimodalFraction)
 {
-    TrafficParams params;
+    WorkloadParams params;
     params.pattern = TrafficPattern::Bimodal;
     params.load = 1.0;
     params.payloadFlits = 1;
@@ -108,7 +108,7 @@ TEST(SyntheticTraffic, BimodalFraction)
 
 TEST(SyntheticTraffic, HonorsStartAndStop)
 {
-    TrafficParams params;
+    WorkloadParams params;
     params.pattern = TrafficPattern::UniformUnicast;
     params.load = 1.0;
     params.payloadFlits = 1;
@@ -127,7 +127,7 @@ TEST(SyntheticTraffic, HonorsStartAndStop)
 
 TEST(SyntheticTraffic, DeterministicAcrossInstances)
 {
-    TrafficParams params;
+    WorkloadParams params;
     params.load = 0.3;
     params.payloadFlits = 16;
     SyntheticTraffic a(16, params), b(16, params);
@@ -143,7 +143,7 @@ TEST(SyntheticTraffic, DeterministicAcrossInstances)
 
 TEST(SyntheticTraffic, ZeroLoadGeneratesNothing)
 {
-    TrafficParams params;
+    WorkloadParams params;
     params.pattern = TrafficPattern::UniformUnicast;
     params.load = 0.0;
     SyntheticTraffic gen(8, params);
@@ -155,7 +155,7 @@ TEST(SyntheticTraffic, ZeroLoadGeneratesNothing)
 
 TEST(SyntheticTraffic, HotSpotFractionTargetsHotNode)
 {
-    TrafficParams params;
+    WorkloadParams params;
     params.pattern = TrafficPattern::HotSpot;
     params.load = 1.0;
     params.payloadFlits = 1;
@@ -179,7 +179,7 @@ TEST(SyntheticTraffic, HotSpotFractionTargetsHotNode)
 
 TEST(SyntheticTraffic, HotNodeItselfSendsUniform)
 {
-    TrafficParams params;
+    WorkloadParams params;
     params.pattern = TrafficPattern::HotSpot;
     params.load = 1.0;
     params.payloadFlits = 1;
@@ -196,7 +196,7 @@ TEST(SyntheticTraffic, HotNodeItselfSendsUniform)
 
 TEST(SyntheticTrafficDeath, BadHotNodePanics)
 {
-    TrafficParams params;
+    WorkloadParams params;
     params.pattern = TrafficPattern::HotSpot;
     params.hotNode = 99;
     EXPECT_DEATH(SyntheticTraffic(8, params), "hot node");

@@ -163,7 +163,7 @@ TEST_P(UniMinE2e, RandomTrafficDrains)
     config.nic.recvOverhead = 20;
     Network net(config);
 
-    TrafficParams traffic;
+    WorkloadParams traffic;
     traffic.pattern = TrafficPattern::Bimodal;
     traffic.load = 0.08;
     traffic.payloadFlits = 32;
@@ -171,7 +171,7 @@ TEST_P(UniMinE2e, RandomTrafficDrains)
     traffic.mcastFraction = 0.3;
     traffic.stopCycle = 8000;
     SyntheticTraffic source(net.numHosts(), traffic);
-    net.attachTraffic(&source);
+    net.attachWorkload(&source);
 
     net.armWatchdog(30000);
     net.sim().run(8000);
@@ -230,14 +230,14 @@ TEST(UniMinE2eSingle, BroadcastStormDrains)
     config.fatTreeN = 2;
     Network net(config);
 
-    TrafficParams traffic;
+    WorkloadParams traffic;
     traffic.pattern = TrafficPattern::MultipleMulticast;
     traffic.load = 0.4;
     traffic.payloadFlits = 32;
     traffic.mcastDegree = 15;
     traffic.stopCycle = 3000;
     SyntheticTraffic source(net.numHosts(), traffic);
-    net.attachTraffic(&source);
+    net.attachWorkload(&source);
 
     net.armWatchdog(50000);
     net.sim().run(3000);
