@@ -23,14 +23,15 @@ class Simulator;
  * cannot affect results.
  *
  * Under the fast path (Simulator::setFastPath) idle components are
- * retired from the per-cycle tick set: after every stepped cycle the
- * kernel asks nextWork() for the earliest future cycle at which the
- * component could do anything observable, and only re-steps it from
- * that cycle on (or earlier, if someone calls requestWake()). A
- * component may answer conservatively -- being stepped while idle must
- * always be a no-op -- but must never answer late: sleeping through a
- * cycle where it would have moved state breaks the bit-identity
- * guarantee against the always-stepped path.
+ * retired from the per-cycle tick set: once per
+ * Simulator::kRetireStride cycles the kernel asks nextWork() for the
+ * earliest future cycle at which the component could do anything
+ * observable, and only re-steps it from that cycle on (or earlier, if
+ * someone calls requestWake()). A component may answer
+ * conservatively -- being stepped while idle must always be a no-op --
+ * but must never answer late: sleeping through a cycle where it would
+ * have moved state breaks the bit-identity guarantee against the
+ * always-stepped path.
  */
 class Component
 {

@@ -40,14 +40,10 @@ Simulator::add(Component *component)
     component->schedActive_ = 1;
     components_.push_back(component);
     wakeAt_.push_back(kNoCycle);
-    retireCheckAt_.push_back(0);
-    busyStreak_.push_back(0);
     // Late registrations (engines, test components) go to the serial
     // bucket: only the network's construction-time partition may put
     // a component in a parallel shard.
-    const std::uint32_t bucket =
-        sharded_ ? static_cast<std::uint32_t>(buckets_.size() - 1)
-                 : 0u;
+    const auto bucket = static_cast<std::uint32_t>(buckets_.size() - 1);
     bucketOf_.push_back(bucket);
     ++buckets_[bucket].size;
     if (fastPath_)
@@ -58,7 +54,6 @@ void
 Simulator::setFastPath(bool on)
 {
     stopPool();
-    sharded_ = false;
     fastPath_ = on;
     buckets_.clear();
     buckets_.emplace_back();
@@ -66,9 +61,6 @@ Simulator::setFastPath(bool on)
     bucket.size = components_.size();
     bucketOf_.assign(components_.size(), 0);
     std::fill(wakeAt_.begin(), wakeAt_.end(), kNoCycle);
-    std::fill(retireCheckAt_.begin(), retireCheckAt_.end(), Cycle{0});
-    std::fill(busyStreak_.begin(), busyStreak_.end(),
-              std::uint8_t{0});
     for (Component *c : components_)
         c->schedActive_ = 1;
     if (fastPath_) {
@@ -93,9 +85,6 @@ Simulator::setSharding(std::vector<std::uint32_t> shardOf,
     buckets_.clear();
     buckets_.resize(parallelShards + 1);
     std::fill(wakeAt_.begin(), wakeAt_.end(), kNoCycle);
-    std::fill(retireCheckAt_.begin(), retireCheckAt_.end(), Cycle{0});
-    std::fill(busyStreak_.begin(), busyStreak_.end(),
-              std::uint8_t{0});
     for (std::size_t i = 0; i < components_.size(); ++i) {
         const std::uint32_t bucket = bucketOf_[i];
         MDW_ASSERT(bucket <= parallelShards,
@@ -106,7 +95,6 @@ Simulator::setSharding(std::vector<std::uint32_t> shardOf,
         buckets_[bucket].runList.push_back(i);
     }
     shardProgress_.assign(parallelShards, 0);
-    sharded_ = true;
     unsigned workers = threads;
     if (workers == 0) {
         workers = std::thread::hardware_concurrency();
@@ -125,16 +113,15 @@ Simulator::setSharding(std::vector<std::uint32_t> shardOf,
 void
 Simulator::clearSharding()
 {
-    if (!sharded_)
-        return;
-    setFastPath(fastPath_);
+    if (shards() > 0)
+        setFastPath(fastPath_);
 }
 
 std::vector<ShardStat>
 Simulator::shardStats() const
 {
     std::vector<ShardStat> stats;
-    if (!sharded_)
+    if (shards() == 0)
         return stats;
     stats.reserve(buckets_.size());
     for (const Bucket &bucket : buckets_) {
@@ -167,7 +154,7 @@ Simulator::wake(Component *component, Cycle when)
                component->name().c_str());
     if (component->schedActive_) {
         // Already ticking; the retire pass re-evaluates nextWork()
-        // every stepped cycle, which subsumes this wake (and an
+        // before dropping it, which subsumes this wake (and an
         // immediate activate() would be a no-op anyway).
         return;
     }
@@ -195,8 +182,6 @@ Simulator::activate(std::size_t idx)
     if (component->schedActive_)
         return;
     component->schedActive_ = 1;
-    busyStreak_[idx] = 0;
-    retireCheckAt_[idx] = 0;
     Bucket &bucket = buckets_[bucketOf_[idx]];
     const auto it = std::lower_bound(bucket.runList.begin(),
                                      bucket.runList.end(), idx);
@@ -231,58 +216,17 @@ void
 Simulator::retireIdle(std::size_t b)
 {
     Bucket &bucket = buckets_[b];
-    // While most of the bucket is busy (a contended run), probing
-    // nextWork() every cycle is pure overhead: skip whole retire
-    // passes on a short bucket stride, and within a pass back off
-    // per-component probes that keep reporting work. A component kept
-    // active past its last real work only absorbs no-op steps, which
-    // cannot change results; the moment the bucket drains below half,
-    // probing is exact again so fully-idle systems still deregister
-    // completely.
-    // "Contended" from a quarter of the bucket active: drain phases
-    // hover well below half-active while still churning, and exact
-    // per-cycle probing there costs more than the no-op steps it
-    // saves. Below the threshold probing is exact again, so a system
-    // that goes quiescent still deregisters completely the moment its
-    // last components report no work.
-    const bool contended = bucket.size >= 8 &&
-                           bucket.runList.size() * 4 >= bucket.size;
-    if (contended && now_ < bucket.retireAt)
+    if (now_ < bucket.retireAt)
         return;
+    bucket.retireAt = now_ + kRetireStride;
     std::size_t keep = 0;
     for (std::size_t r = 0; r < bucket.runList.size(); ++r) {
         const std::size_t idx = bucket.runList[r];
-        if (contended && now_ < retireCheckAt_[idx]) {
-            bucket.runList[keep++] = idx;
-            continue;
-        }
         const Cycle nw = components_[idx]->nextWork(now_);
-        // While contended, a component whose next work is only a few
-        // cycles out is cheaper to keep ticking (no-op steps) than to
-        // retire: the wake-heap push/pop plus the sorted re-insert
-        // into the run list cost more than the skipped steps, and
-        // under load components oscillate constantly.
-        const Cycle horizon = contended ? now_ + 8 : now_ + 1;
-        if (nw <= horizon) {
-            if (contended) {
-                if (nw <= now_ + 1) {
-                    // Stride doubles up to 32 cycles: a component
-                    // busy for hundreds of cycles costs ~1 probe per
-                    // 32, and the worst-case retirement delay stays
-                    // trivial next to its busy period.
-                    if (busyStreak_[idx] < 5)
-                        ++busyStreak_[idx];
-                    retireCheckAt_[idx] =
-                        now_ + (Cycle{1} << busyStreak_[idx]);
-                } else {
-                    // Re-probe when its declared work comes due.
-                    retireCheckAt_[idx] = nw;
-                }
-            }
+        if (nw <= now_ + kRetireStride) {
             bucket.runList[keep++] = idx;
             continue;
         }
-        busyStreak_[idx] = 0;
         components_[idx]->schedActive_ = 0;
         if (nw != kNoCycle && nw < wakeAt_[idx]) {
             wakeAt_[idx] = nw;
@@ -293,8 +237,6 @@ Simulator::retireIdle(std::size_t b)
         }
     }
     bucket.runList.resize(keep);
-    if (contended)
-        bucket.retireAt = now_ + 8;
 }
 
 void
@@ -302,28 +244,12 @@ Simulator::stepBucket(std::size_t b)
 {
     Bucket &bucket = buckets_[b];
     bucket.stepping = true;
-    if (!sharded_ && bucket.runList.size() == components_.size()) {
-        // Saturated tick set (the common contended state): the sorted
-        // run list is exactly 0..N-1, so traverse components_
-        // directly — the same loop as the cycle path, without the
-        // per-step indirection and bounds check. Nothing can be
-        // activated mid-step because everything already is.
-        bucket.cursor = bucket.runList.size();
-        for (Component *c : components_)
-            c->step(now_);
-        bucket.stepping = false;
-        return;
-    }
     bucket.cursor = 0;
-    // steps feeds the per-shard stats only; skip the counter on the
-    // (hotter) unsharded path.
-    const bool count = sharded_;
     while (bucket.cursor < bucket.runList.size()) {
         Component *c = components_[bucket.runList[bucket.cursor]];
         ++bucket.cursor;
         c->step(now_);
-        if (count)
-            ++bucket.steps;
+        ++bucket.steps;
     }
     bucket.stepping = false;
 }
@@ -355,14 +281,12 @@ Simulator::flushBoundaries()
 }
 
 void
-Simulator::runShardTask(int phase, std::size_t shard)
+Simulator::runShardTask(std::size_t shard)
 {
     const auto start = std::chrono::steady_clock::now();
     shardctx::current = static_cast<int>(shard);
-    if (phase == 0)
-        stepBucket(shard);
-    else
-        retireIdle(shard);
+    stepBucket(shard);
+    retireIdle(shard);
     shardctx::current = -1;
     buckets_[shard].wallNs += static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -371,17 +295,16 @@ Simulator::runShardTask(int phase, std::size_t shard)
 }
 
 void
-Simulator::runParallelPhase(int phase)
+Simulator::runParallelPhase()
 {
     const std::size_t shards = buckets_.size() - 1;
     if (pool_.empty()) {
         for (std::size_t s = 0; s < shards; ++s)
-            runShardTask(phase, s);
+            runShardTask(s);
         return;
     }
     {
         std::lock_guard<std::mutex> lock(poolMutex_);
-        poolPhase_ = phase;
         poolNextShard_.store(0, std::memory_order_relaxed);
         poolPending_ = pool_.size();
         ++poolGeneration_;
@@ -389,7 +312,7 @@ Simulator::runParallelPhase(int phase)
     poolCv_.notify_all();
     std::size_t s;
     while ((s = poolNextShard_.fetch_add(1)) < shards)
-        runShardTask(phase, s);
+        runShardTask(s);
     std::unique_lock<std::mutex> lock(poolMutex_);
     poolDoneCv_.wait(lock, [this] { return poolPending_ == 0; });
 }
@@ -399,7 +322,6 @@ Simulator::workerLoop()
 {
     std::uint64_t seen = 0;
     for (;;) {
-        int phase;
         {
             std::unique_lock<std::mutex> lock(poolMutex_);
             poolCv_.wait(lock, [&] {
@@ -408,12 +330,11 @@ Simulator::workerLoop()
             if (poolExit_)
                 return;
             seen = poolGeneration_;
-            phase = poolPhase_;
         }
         const std::size_t shards = buckets_.size() - 1;
         std::size_t s;
         while ((s = poolNextShard_.fetch_add(1)) < shards)
-            runShardTask(phase, s);
+            runShardTask(s);
         {
             std::lock_guard<std::mutex> lock(poolMutex_);
             if (--poolPending_ == 0)
@@ -448,13 +369,21 @@ Simulator::stopPool()
 }
 
 void
-Simulator::stepOneSharded()
+Simulator::stepOne()
 {
+    if (!fastPath_) {
+        events_.runDue(now_);
+        for (Component *c : components_)
+            c->step(now_);
+        checkWatchdog();
+        ++now_;
+        return;
+    }
     const std::size_t serial = buckets_.size() - 1;
     for (std::size_t b = 0; b < buckets_.size(); ++b)
         wakeDue(b);
     events_.runDue(now_);
-    runParallelPhase(0);
+    runParallelPhase();
     for (std::size_t s = 0; s < serial; ++s) {
         if (shardProgress_[s]) {
             shardProgress_[s] = 0;
@@ -463,33 +392,9 @@ Simulator::stepOneSharded()
     }
     flushBoundaries();
     stepBucket(serial);
-    runParallelPhase(1);
     retireIdle(serial);
     checkWatchdog();
     ++now_;
-}
-
-void
-Simulator::stepOne()
-{
-    if (fastPath_) {
-        if (sharded_) {
-            stepOneSharded();
-        } else {
-            wakeDue(0);
-            events_.runDue(now_);
-            stepBucket(0);
-            retireIdle(0);
-            checkWatchdog();
-            ++now_;
-        }
-    } else {
-        events_.runDue(now_);
-        for (Component *c : components_)
-            c->step(now_);
-        checkWatchdog();
-        ++now_;
-    }
 }
 
 std::size_t

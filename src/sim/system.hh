@@ -34,7 +34,7 @@ struct ShardStat
     std::uint64_t boundarySends = 0;
     /**
      * Wall-clock nanoseconds spent executing the shard's parallel
-     * phases (step + retire). Diagnostic only — identifies partition
+     * phase (step + retire). Diagnostic only — identifies partition
      * imbalance; never feeds back into scheduling or results.
      */
     std::uint64_t wallNs = 0;
@@ -58,33 +58,42 @@ struct ShardStat
  *    requestWake() pushes from channels and peers). When the tick set
  *    is empty the clock jumps straight to the next activity --
  *    earliest wake, earliest event, run limit, or the cycle at which
- *    the watchdog would trip -- so uncontended stretches cost O(1)
- *    instead of O(components * cycles).
+ *    the watchdog would trip -- so idle stretches cost O(1) instead
+ *    of O(components * cycles).
  *
- * On top of the fast path, setSharding() partitions the tick set into
- * parallel shards plus one serial bucket, and each cycle becomes a
- * three-phase barrier-synchronized sweep:
+ * The fast path runs every cycle as one barrier-synchronized sweep
+ * over buckets of components. setSharding() splits the tick set into
+ * parallel shards plus one serial bucket; unsharded, there are no
+ * parallel shards and the serial bucket holds everything.
  *
- *  1. parallel phase: shard workers step their shard's active
- *     components (in registration order within the shard). Only
- *     components whose step() touches nothing but its own state, its
- *     channels, the tracer, and noteProgress() may live in a parallel
- *     shard (the network puts switches there). Channels that cross a
- *     shard boundary run in boundary mode: sends are buffered into
- *     per-channel mailboxes.
+ *  1. parallel step+retire phase: shard workers step their shard's
+ *     active components (in registration order within the shard), then
+ *     run the shard's retire pass. Only components whose step() touches
+ *     nothing but its own state, its channels, the tracer, and
+ *     noteProgress() may live in a parallel shard (the network puts
+ *     switches there). Channels that cross a shard boundary run in
+ *     boundary mode: sends are buffered into per-channel mailboxes.
  *  2. barrier: the main thread folds per-shard progress flags and
  *     drains the boundary mailboxes in deterministic (src-shard,
  *     dirty-registration) order. Because every channel imposes >= 1
  *     cycle of delay, nothing sent at cycle t is observable before
  *     t + 1, so the deferred queue pushes are invisible to results.
- *  3. serial phase: everything else (NICs, engines, test components)
- *     is stepped by the main thread in registration order — exactly
- *     the order the flat scheduler used, so tracker/workload hook
- *     sequences are reproduced verbatim.
+ *  3. serial step+retire phase: everything else (NICs, engines, test
+ *     components) is stepped by the main thread in registration order
+ *     -- exactly the order of the unsharded sweep, so tracker/workload
+ *     hook sequences are reproduced verbatim -- then the serial bucket
+ *     retires.
  *
- * The retire pass then runs per shard (parallel again), the watchdog
- * is checked, and the clock advances. Results are bit-identical to
- * the flat schedulers for any shard/thread count.
+ * The watchdog is then checked and the clock advances. A shard retires
+ * before the barrier and the serial phase, yet anything those send it
+ * arrives through a channel push or flush that requests a wake, so
+ * results are bit-identical for any shard/thread count.
+ *
+ * Retire rule: each bucket's retire pass runs once every kRetireStride
+ * cycles and keeps every component whose nextWork() falls within the
+ * next stride; the rest leave the tick set and sleep on the wake heap.
+ * A component may thus keep ticking up to kRetireStride cycles past its
+ * last work, so activeCount() lags quiescence by that much.
  *
  * Equivalence rests on two component-contract facts: stepping an idle
  * component is a no-op, and nextWork() never under-reports (see
@@ -99,6 +108,14 @@ class Simulator : public BoundaryRegistrar
 
     Simulator(const Simulator &) = delete;
     Simulator &operator=(const Simulator &) = delete;
+
+    /**
+     * Cycles between a bucket's retire passes, and the horizon within
+     * which a component's next work keeps it ticking: anything due
+     * before the next pass would come back through the wake heap
+     * anyway, and an idle step is a no-op.
+     */
+    static constexpr Cycle kRetireStride = 8;
 
     /** Register a component (not owned). Components added after
      *  setSharding() land in the serial bucket. */
@@ -135,10 +152,7 @@ class Simulator : public BoundaryRegistrar
     void clearSharding();
 
     /** Parallel shards in use (0 when unsharded). */
-    std::size_t shards() const
-    {
-        return sharded_ ? buckets_.size() - 1 : 0;
-    }
+    std::size_t shards() const { return buckets_.size() - 1; }
 
     /** Per-shard execution statistics (empty when unsharded);
      *  entry [shards()] is the serial bucket. */
@@ -206,7 +220,7 @@ class Simulator : public BoundaryRegistrar
     void wakeDue(std::size_t bucket);
     /** Insert component @p idx into its bucket's tick set (sorted). */
     void activate(std::size_t idx);
-    /** Drop stepped components that report no immediate work. */
+    /** Retire pass (see the retire rule in the class comment). */
     void retireIdle(std::size_t bucket);
     /** Step one bucket's active components in registration order. */
     void stepBucket(std::size_t bucket);
@@ -218,12 +232,11 @@ class Simulator : public BoundaryRegistrar
      */
     Cycle nextActivity(Cycle limit) const;
 
-    void stepOneSharded();
-    /** Run @p phase over all parallel shards on the worker pool (or
+    /** Step and retire every parallel shard on the worker pool (or
      *  inline when no pool exists). */
-    void runParallelPhase(int phase);
+    void runParallelPhase();
     void workerLoop();
-    void runShardTask(int phase, std::size_t shard);
+    void runShardTask(std::size_t shard);
     void startPool(unsigned threads);
     void stopPool();
 
@@ -246,10 +259,9 @@ class Simulator : public BoundaryRegistrar
     };
 
     /**
-     * One schedulable partition of the components. Unsharded, there
-     * is exactly one bucket holding everything; sharded, buckets
-     * [0, shards) are the parallel shards and the last bucket is the
-     * serial one.
+     * One schedulable partition of the components. Buckets [0, shards)
+     * are the parallel shards and the last bucket is the serial one
+     * (unsharded, the only bucket, holding everything).
      */
     struct Bucket
     {
@@ -259,40 +271,28 @@ class Simulator : public BoundaryRegistrar
         std::vector<Wake> wakeHeap;
         /** Traversal cursor into runList while stepping a cycle. */
         std::size_t cursor = 0;
-        /** Next cycle the retire pass runs while contended (whole-
-         *  bucket stride on top of the per-component backoff). */
+        /** Next cycle this bucket's retire pass runs. */
         Cycle retireAt = 0;
         /** True while inside the per-cycle step traversal. */
         bool stepping = false;
         /** Components assigned to this bucket. */
         std::size_t size = 0;
-        /** step() calls executed (sharded-mode accounting). */
+        /** step() calls executed. */
         std::uint64_t steps = 0;
         /** Items flushed from this bucket's boundary channels. */
         std::uint64_t boundarySends = 0;
-        /** Wall nanoseconds spent in this bucket's parallel phases. */
+        /** Wall nanoseconds spent in this bucket's parallel phase. */
         std::uint64_t wallNs = 0;
         /** Channels with buffered sends awaiting the barrier flush. */
         std::vector<BoundaryChannel *> dirty;
     };
 
     bool fastPath_ = false;
-    bool sharded_ = false;
     std::vector<Bucket> buckets_;
     /** Bucket of each component (all 0 when unsharded). */
     std::vector<std::uint32_t> bucketOf_;
     /** Earliest enqueued wake per component (dedup for wakeHeap). */
     std::vector<Cycle> wakeAt_;
-    /**
-     * Retire-pass backoff: skip the nextWork() probe of a component
-     * that keeps reporting work until this cycle. Only engaged while
-     * the bucket is mostly active (contended), where the probe is
-     * pure overhead; delaying retirement never changes results
-     * (stepping an idle component is a no-op).
-     */
-    std::vector<Cycle> retireCheckAt_;
-    /** Consecutive busy retire probes (caps the backoff stride). */
-    std::vector<std::uint8_t> busyStreak_;
     /** Per-shard progress flags folded into lastProgress_ at the
      *  barrier. */
     std::vector<char> shardProgress_;
@@ -303,7 +303,6 @@ class Simulator : public BoundaryRegistrar
     std::condition_variable poolCv_;
     std::condition_variable poolDoneCv_;
     std::uint64_t poolGeneration_ = 0;
-    int poolPhase_ = 0;
     bool poolExit_ = false;
     std::atomic<std::size_t> poolNextShard_{0};
     std::size_t poolPending_ = 0;

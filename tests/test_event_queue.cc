@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <utility>
 #include <vector>
 
+#include "sim/channel.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
 #include "sim/system.hh"
@@ -138,9 +140,17 @@ class TickCounter : public Component
             sim_->noteProgress();
     }
 
+    Cycle
+    nextWork(Cycle now) override
+    {
+        return next ? next(now) : now + 1;
+    }
+
     int ticks = 0;
     Cycle last = 0;
     bool report_progress = true;
+    /** Fast-path nextWork() answer (default: work every cycle). */
+    std::function<Cycle(Cycle)> next;
 };
 
 } // namespace
@@ -224,6 +234,130 @@ TEST(Simulator, WatchdogIgnoresIdleSystem)
     sim.setWatchdog(10, [] { return false; }); // no work pending
     sim.run(100);
     EXPECT_FALSE(sim.deadlockDetected());
+}
+
+namespace {
+
+/** Sends one item at cycle 0. */
+class OneShotSender : public Component
+{
+  public:
+    explicit OneShotSender(Channel<int> &out)
+        : Component("sender"), out_(out)
+    {
+    }
+
+    void
+    step(Cycle now) override
+    {
+        if (now == 0)
+            out_.send(7, now);
+    }
+
+    Cycle nextWork(Cycle) override { return kNoCycle; }
+
+  private:
+    Channel<int> &out_;
+};
+
+/** Logs the cycle each item is received on. */
+class LoggingReceiver : public Component
+{
+  public:
+    explicit LoggingReceiver(Channel<int> &in)
+        : Component("receiver"), in_(in)
+    {
+        in_.setWakeSink(this);
+    }
+
+    void
+    step(Cycle now) override
+    {
+        while (in_.peek(now) != nullptr) {
+            in_.receive(now);
+            log.push_back(now);
+        }
+    }
+
+    Cycle nextWork(Cycle) override { return in_.nextArrival(); }
+
+    std::vector<Cycle> log;
+
+  private:
+    Channel<int> &in_;
+};
+
+} // namespace
+
+TEST(Simulator, IdleComponentRetiresWithinOneStride)
+{
+    Simulator sim;
+    TickCounter c; // work every cycle through 20, then none
+    c.next = [](Cycle now) { return now < 20 ? now + 1 : kNoCycle; };
+    sim.add(&c);
+    sim.setFastPath(true);
+    sim.run(100);
+    // Stepped through its last work, then at most one stride of no-op
+    // steps before the retire pass drops it.
+    EXPECT_GE(c.last, 20u);
+    EXPECT_LE(c.last, 20u + Simulator::kRetireStride);
+    EXPECT_EQ(c.ticks, static_cast<int>(c.last) + 1);
+    EXPECT_EQ(sim.activeCount(), 0u);
+
+    // With the tick set empty the clock jumps: one poll before the
+    // skip to the limit and one after, no steps in between.
+    const int ticks = c.ticks;
+    int polls = 0;
+    EXPECT_FALSE(sim.runUntil(
+        [&] {
+            ++polls;
+            return false;
+        },
+        1000000));
+    EXPECT_EQ(polls, 2);
+    EXPECT_EQ(sim.now(), 1000100u);
+    EXPECT_EQ(c.ticks, ticks);
+}
+
+TEST(Simulator, WorkWithinOneStrideIsNeverRetired)
+{
+    Simulator sim;
+    TickCounter c;
+    c.next = [](Cycle now) { return now + Simulator::kRetireStride; };
+    sim.add(&c);
+    sim.setFastPath(true);
+    sim.run(100);
+    EXPECT_EQ(c.ticks, 100);
+    EXPECT_EQ(sim.activeCount(), 1u);
+}
+
+// A receiver in parallel shard 0 retires during the parallel phase of
+// cycle 0, before the serial bucket's sender posts to it in that same
+// cycle. The send's wake request must still step it at exactly the
+// arrival cycle, under every scheduler.
+TEST(Simulator, ShardRetireThenSerialSendWakesAtArrival)
+{
+    constexpr Cycle kDelay = 3;
+    // 0 = cycle path, 1 = flat fast path, 2/3 = 1 and 2 parallel
+    // shards on as many threads.
+    const auto run = [](int mode) {
+        Simulator sim;
+        Channel<int> link("link", kDelay);
+        LoggingReceiver receiver(link);
+        OneShotSender sender(link);
+        sim.add(&receiver);
+        sim.add(&sender);
+        sim.setFastPath(mode > 0);
+        if (mode >= 2) {
+            const std::size_t shards = mode == 2 ? 1 : 2;
+            sim.setSharding({0, static_cast<std::uint32_t>(shards)},
+                            shards, static_cast<unsigned>(shards));
+        }
+        sim.run(40);
+        return receiver.log;
+    };
+    for (int mode = 0; mode < 4; ++mode)
+        EXPECT_EQ(run(mode), std::vector<Cycle>{kDelay}) << "mode " << mode;
 }
 
 } // namespace
