@@ -43,8 +43,16 @@ CreditChannel::send(int count, Cycle now, int lane)
     } else {
         queue_.push_back(Entry{ready, count, lane});
     }
+    noteArrival(ready);
+}
+
+void
+CreditChannel::noteArrival(Cycle arrival)
+{
+    if (hint_ != nullptr && arrival < *hint_)
+        *hint_ = arrival;
     if (sink_ != nullptr)
-        sink_->requestWake(ready);
+        sink_->requestWake(arrival);
 }
 
 void
@@ -76,8 +84,7 @@ CreditChannel::flushBoundary()
             queue_.push_back(entry);
     }
     pending_.clear();
-    if (sink_ != nullptr)
-        sink_->requestWake(first);
+    noteArrival(first);
     return moved;
 }
 

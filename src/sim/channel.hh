@@ -113,8 +113,7 @@ class Channel : public BoundaryChannel
             return;
         }
         queue_.push_back(Entry{arrival, std::move(item)});
-        if (sink_ != nullptr)
-            sink_->requestWake(arrival);
+        noteArrival(arrival);
     }
 
     /**
@@ -151,8 +150,7 @@ class Channel : public BoundaryChannel
         for (Entry &entry : pending_)
             queue_.push_back(std::move(entry));
         pending_.clear();
-        if (sink_ != nullptr)
-            sink_->requestWake(first);
+        noteArrival(first);
         return moved;
     }
 
@@ -175,6 +173,13 @@ class Channel : public BoundaryChannel
      * sleeping when the item lands (fast path only).
      */
     void setWakeSink(Component *sink) { sink_ = sink; }
+
+    /**
+     * Register the receiver's lower bound on nextArrival(): every
+     * arrival pushed into the receiver-visible queue lowers
+     * @p *bound to it (same thread and phase as the wake push).
+     */
+    void setArrivalHint(Cycle *bound) { hint_ = bound; }
 
     /** Cycle the oldest in-flight item arrives, or kNoCycle. */
     Cycle
@@ -238,6 +243,16 @@ class Channel : public BoundaryChannel
         T item;
     };
 
+    /** An item arriving at @p arrival became receiver-visible. */
+    void
+    noteArrival(Cycle arrival)
+    {
+        if (hint_ != nullptr && arrival < *hint_)
+            *hint_ = arrival;
+        if (sink_ != nullptr)
+            sink_->requestWake(arrival);
+    }
+
     std::string name_;
     Cycle delay_;
     std::deque<Entry> queue_;
@@ -245,6 +260,7 @@ class Channel : public BoundaryChannel
     bool sentYet_ = false;
     std::uint64_t totalSends_ = 0;
     Component *sink_ = nullptr;
+    Cycle *hint_ = nullptr;
     ChannelHook<T> *hook_ = nullptr;
     // Boundary mode: mailbox written only by the sending shard's
     // thread, drained only at the barrier.
@@ -296,6 +312,9 @@ class CreditChannel : public BoundaryChannel
      */
     void setWakeSink(Component *sink) { sink_ = sink; }
 
+    /** Register the receiver's arrival bound (see Channel). */
+    void setArrivalHint(Cycle *bound) { hint_ = bound; }
+
     /** Cycle the oldest in-flight grant arrives, or kNoCycle. */
     Cycle
     nextArrival() const
@@ -319,12 +338,16 @@ class CreditChannel : public BoundaryChannel
         int lane;
     };
 
+    /** A grant arriving at @p arrival became receiver-visible. */
+    void noteArrival(Cycle arrival);
+
     std::string name_;
     Cycle delay_;
     std::deque<Entry> queue_;
     int inFlight_ = 0;
     std::uint64_t totalSends_ = 0;
     Component *sink_ = nullptr;
+    Cycle *hint_ = nullptr;
     std::vector<Entry> pending_;
     BoundaryRegistrar *registrar_ = nullptr;
     std::uint32_t srcShard_ = 0;

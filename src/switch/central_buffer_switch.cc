@@ -19,7 +19,9 @@ CentralBufferSwitch::CentralBufferSwitch(std::string name, SwitchId id,
                        ? (cbParams.maxPacketFlits +
                           cbParams.chunkFlits - 1) /
                              cbParams.chunkFlits
-                       : 0})
+                       : 0}),
+      busyOut_(static_cast<std::size_t>(routing->radix()) *
+               static_cast<std::size_t>(params.lanes))
 {
     MDW_ASSERT(cbParams_.outputFifoFlits >= cbParams_.chunkFlits,
                "output FIFO must hold at least one chunk");
@@ -111,13 +113,8 @@ CentralBufferSwitch::nextWork(Cycle now)
     // barrier releases, or central-queue residency. (CQ residency also
     // pins cqOcc_: the time average may only coast while its sampled
     // value is exactly zero.)
-    if (inputsBuffered())
+    if (inputsBuffered() || busyOut_.any())
         return now + 1;
-    for (const OutputState &output : outputs_) {
-        if (!output.idle() || !output.queue.empty() ||
-            output.fifoFlits > 0)
-            return now + 1;
-    }
     if (!barrierEmissions_.empty())
         return now + 1;
     if (cq_.entryCount() != 0 || cq_.usedChunks() != 0)
@@ -186,10 +183,31 @@ CentralBufferSwitch::quiescent(std::string *why) const
     return ok;
 }
 
+bool
+CentralBufferSwitch::activityExact(std::string *why) const
+{
+    bool ok = SwitchBase::activityExact(why);
+    for (std::size_t o = 0; o < outputs_.size(); ++o) {
+        const OutputState &out = outputs_[o];
+        const bool busy =
+            !out.idle() || !out.queue.empty() || out.fifoFlits > 0;
+        if (busyOut_.test(o) == busy)
+            continue;
+        if (why)
+            *why += name() + ": busy-output bit " + std::to_string(o) +
+                    " is " + std::to_string(busyOut_.test(o)) +
+                    " but the output is " +
+                    (busy ? "busy" : "idle") + "; ";
+        ok = false;
+    }
+    return ok;
+}
+
 void
 CentralBufferSwitch::drainTombstones(Cycle now)
 {
-    for (std::size_t i = 0; i < inputs_.size(); ++i) {
+    for (std::size_t i = held_.next(0); i != SlotMask::kEnd;
+         i = held_.next(i + 1)) {
         InputState &input = inputs_[i];
         if (input.mode != InMode::Tombstone)
             continue;
@@ -234,9 +252,10 @@ void
 CentralBufferSwitch::decide(Cycle now)
 {
     reservationWaiters_ = 0;
-    for (std::size_t i = 0; i < inputs_.size(); ++i) {
+    for (std::size_t i = held_.next(0); i != SlotMask::kEnd;
+         i = held_.next(i + 1)) {
         InputState &input = inputs_[i];
-        if (input.mode != InMode::Deciding || fifos_[i].packets.empty())
+        if (input.mode != InMode::Deciding)
             continue;
         const PacketRecord &rec = fifos_[i].packets.front();
         MDW_ASSERT(rec.pkt->headerFlits <= cbParams_.inputFifoFlits,
@@ -254,11 +273,17 @@ CentralBufferSwitch::decide(Cycle now)
             continue;
         }
 
-        const RouteDecision route =
-            routing_->decode(rec.pkt->dests, params_.variant);
-        traceWorm(WormEvent::HeaderDecode, now, *rec.pkt,
-                  static_cast<std::int32_t>(i));
-        noteUnroutable(route);
+        // Decode once per worm: a multicast waiting for its
+        // reservation keeps its route unless the table was swapped.
+        if (input.routedBy != routing_) {
+            input.route = std::make_unique<RouteDecision>(
+                routing_->decode(rec.pkt->dests, params_.variant));
+            input.routedBy = routing_;
+            traceWorm(WormEvent::HeaderDecode, now, *rec.pkt,
+                      static_cast<std::int32_t>(i));
+            noteUnroutable(*input.route);
+        }
+        const RouteDecision &route = *input.route;
         if (route.downBranches.empty() && !route.needsUp()) {
             // Every destination lost its path (post-fault tolerant
             // table): swallow the worm here and let the source's
@@ -281,7 +306,7 @@ CentralBufferSwitch::consumeBarrierToken(std::size_t i, Cycle now)
 {
     const std::size_t port = i / static_cast<std::size_t>(lanes());
     const PacketRecord rec = fifos_[i].packets.front();
-    fifos_[i].packets.pop_front();
+    popInputPacket(i);
     releaseInput(i, rec.pkt->totalFlits(), now);
     barrierTokens_.inc();
     if (sim_)
@@ -328,9 +353,11 @@ CentralBufferSwitch::processBarrierEmissions(Cycle now)
             // traffic, and pinning them keeps the combining tree
             // independent of the lane configuration.
             for (const auto &[port, sub] : route.downBranches) {
-                outputs_[laneIdx(static_cast<std::size_t>(port), 0)]
-                    .queue.push_back(QueueItem{entry, reader++,
-                                               pruneBranch(pkt, sub)});
+                const std::size_t o =
+                    laneIdx(static_cast<std::size_t>(port), 0);
+                outputs_[o].queue.push_back(
+                    QueueItem{entry, reader++, pruneBranch(pkt, sub)});
+                markOut(o);
             }
         } else {
             // Forward one combined token toward the tree parent; it
@@ -350,8 +377,10 @@ CentralBufferSwitch::processBarrierEmissions(Cycle now)
             const PacketPtr pkt = makePacket_(std::move(desc));
             const auto entry = cq_.addUnreserved(pkt, 1);
             cq_.write(entry, pkt->totalFlits());
-            outputs_[laneIdx(static_cast<std::size_t>(emit.upPort), 0)]
-                .queue.push_back(QueueItem{entry, 0, pkt});
+            const std::size_t o =
+                laneIdx(static_cast<std::size_t>(emit.upPort), 0);
+            outputs_[o].queue.push_back(QueueItem{entry, 0, pkt});
+            markOut(o);
         }
         barrierEmissions_.pop_front();
         if (sim_)
@@ -388,8 +417,9 @@ CentralBufferSwitch::decideUnicast(std::size_t i,
         branch_pkt = pruneBranch(pkt, route.downBranches.front().second);
     }
 
-    OutputState &output =
-        outputs_[laneIdx(static_cast<std::size_t>(target), lane)];
+    const std::size_t o = laneIdx(static_cast<std::size_t>(target), lane);
+    OutputState &output = outputs_[o];
+    markOut(o);
     stats_.packetsRouted.inc();
     input.consumed = 0;
     if (output.idle() && output.queue.empty()) {
@@ -471,23 +501,31 @@ CentralBufferSwitch::decideMulticast(std::size_t i,
                   static_cast<std::int32_t>(branches.size() - 1));
     }
     for (std::size_t b = 0; b < branches.size(); ++b) {
-        outputs_[laneIdx(static_cast<std::size_t>(branches[b].first),
-                         lane)]
-            .queue.push_back(QueueItem{input.entry, static_cast<int>(b),
-                                       std::move(branches[b].second)});
+        const std::size_t o =
+            laneIdx(static_cast<std::size_t>(branches[b].first), lane);
+        outputs_[o].queue.push_back(QueueItem{
+            input.entry, static_cast<int>(b),
+            std::move(branches[b].second)});
+        markOut(o);
     }
 }
 
 void
 CentralBufferSwitch::bypassTransmit(Cycle now)
 {
-    for (std::size_t p = 0; p < outs_.size(); ++p) {
+    // Only ports with a busy lane; every lane of such a port, in
+    // service order.
+    const auto width = static_cast<std::size_t>(lanes());
+    for (std::size_t s = busyOut_.next(0); s != SlotMask::kEnd;
+         s = busyOut_.next((s / width + 1) * width)) {
+        const std::size_t p = s / width;
         // Latency-class lanes are served first, rotating within each
         // class partition (see serviceLane); with one lane this is
         // lane 0 every cycle (the pre-lane iteration order).
         for (int k = 0; k < lanes(); ++k) {
             const int lane = serviceLane(now, k);
-            OutputState &output = outputs_[laneIdx(p, lane)];
+            const std::size_t o = laneIdx(p, lane);
+            OutputState &output = outputs_[o];
             if (output.mode != OutputState::Mode::Bypass)
                 continue;
             const auto in = static_cast<std::size_t>(output.bypassInput);
@@ -503,9 +541,7 @@ CentralBufferSwitch::bypassTransmit(Cycle now)
             ++input.consumed;
             releaseInput(in, 1, now);
             if (output.sentSeq == input.bypassPkt->totalFlits()) {
-                output.mode = OutputState::Mode::Idle;
-                output.bypassInput = -1;
-                output.sentSeq = 0;
+                finishOutput(o);
                 finishHeadPacket(in);
             }
         }
@@ -517,8 +553,9 @@ CentralBufferSwitch::cqWrite(Cycle now)
 {
     // One chunk write per cycle: round-robin over inputs that have a
     // full chunk staged (or the complete tail) to keep chunks packed.
-    std::vector<int> eligible;
-    for (std::size_t i = 0; i < inputs_.size(); ++i) {
+    eligible_.clear();
+    for (std::size_t i = held_.next(0); i != SlotMask::kEnd;
+         i = held_.next(i + 1)) {
         InputState &input = inputs_[i];
         if (input.mode != InMode::CentralQueue)
             continue;
@@ -536,9 +573,9 @@ CentralBufferSwitch::cqWrite(Cycle now)
         // queue would block the very readers whose recycled chunks
         // the waiting worm needs; the up-phase headroom partition is
         // what guarantees forward progress.
-        eligible.push_back(static_cast<int>(i));
+        eligible_.push_back(static_cast<int>(i));
     }
-    const int winner = writeArb_.grantFrom(eligible);
+    const int winner = writeArb_.grantFrom(eligible_);
     if (winner < 0)
         return;
 
@@ -576,7 +613,7 @@ CentralBufferSwitch::finishHeadPacket(std::size_t i)
     // The head packet has fully left the input FIFO; the input is
     // free to decode the next packet even while the central queue
     // still drains the previous one.
-    fifos_[i].packets.pop_front();
+    popInputPacket(i);
     InputState &input = inputs_[i];
     input.mode = InMode::Deciding;
     input.consumed = 0;
@@ -584,12 +621,30 @@ CentralBufferSwitch::finishHeadPacket(std::size_t i)
     input.bypassPort = kInvalidPort;
     input.bypassPkt = nullptr;
     input.entry = CentralQueue::kNoEntry;
+    input.route.reset();
+    input.routedBy = nullptr;
+}
+
+void
+CentralBufferSwitch::finishOutput(std::size_t o)
+{
+    OutputState &output = outputs_[o];
+    output.mode = OutputState::Mode::Idle;
+    output.bypassInput = -1;
+    output.current = QueueItem{};
+    output.fifoFlits = 0;
+    output.readSeq = 0;
+    output.sentSeq = 0;
+    if (output.queue.empty())
+        busyOut_.clear(o);
 }
 
 void
 CentralBufferSwitch::activateStreams()
 {
-    for (auto &output : outputs_) {
+    for (std::size_t o = busyOut_.next(0); o != SlotMask::kEnd;
+         o = busyOut_.next(o + 1)) {
+        OutputState &output = outputs_[o];
         if (output.idle() && !output.queue.empty()) {
             output.current = std::move(output.queue.front());
             output.queue.pop_front();
@@ -611,8 +666,9 @@ CentralBufferSwitch::cqRead(Cycle now)
     (void)now;
     // One chunk read per cycle: round-robin over streaming outputs
     // whose staging FIFO can take a chunk.
-    std::vector<int> eligible;
-    for (std::size_t o = 0; o < outputs_.size(); ++o) {
+    eligible_.clear();
+    for (std::size_t o = busyOut_.next(0); o != SlotMask::kEnd;
+         o = busyOut_.next(o + 1)) {
         OutputState &output = outputs_[o];
         if (output.mode != OutputState::Mode::Stream)
             continue;
@@ -624,9 +680,9 @@ CentralBufferSwitch::cqRead(Cycle now)
         if (cq_.readable(output.current.entry, output.current.reader) <=
             0)
             continue;
-        eligible.push_back(static_cast<int>(o));
+        eligible_.push_back(static_cast<int>(o));
     }
-    const int winner = readArb_.grantFrom(eligible);
+    const int winner = readArb_.grantFrom(eligible_);
     if (winner < 0)
         return;
     OutputState &output = outputs_[static_cast<std::size_t>(winner)];
@@ -642,11 +698,15 @@ CentralBufferSwitch::cqRead(Cycle now)
 void
 CentralBufferSwitch::streamTransmit(Cycle now)
 {
-    for (std::size_t p = 0; p < outs_.size(); ++p) {
-        // Same lane service order as bypassTransmit (lane 0 at L=1).
+    // Same port and lane visiting order as bypassTransmit.
+    const auto width = static_cast<std::size_t>(lanes());
+    for (std::size_t s = busyOut_.next(0); s != SlotMask::kEnd;
+         s = busyOut_.next((s / width + 1) * width)) {
+        const std::size_t p = s / width;
         for (int k = 0; k < lanes(); ++k) {
             const int lane = serviceLane(now, k);
-            OutputState &output = outputs_[laneIdx(p, lane)];
+            const std::size_t o = laneIdx(p, lane);
+            OutputState &output = outputs_[o];
             if (output.mode != OutputState::Mode::Stream)
                 continue;
             if (output.fifoFlits <= 0)
@@ -656,13 +716,8 @@ CentralBufferSwitch::streamTransmit(Cycle now)
                 continue;
             ++output.sentSeq;
             --output.fifoFlits;
-            if (output.sentSeq == pkt->totalFlits()) {
-                output.mode = OutputState::Mode::Idle;
-                output.fifoFlits = 0;
-                output.readSeq = 0;
-                output.sentSeq = 0;
-                output.current = QueueItem{};
-            }
+            if (output.sentSeq == pkt->totalFlits())
+                finishOutput(o);
         }
     }
 }

@@ -26,6 +26,7 @@
 #include <deque>
 
 #include <functional>
+#include <memory>
 
 #include "switch/arbiter.hh"
 #include "switch/barrier_unit.hh"
@@ -90,6 +91,10 @@ class CentralBufferSwitch : public SwitchBase
 
     bool quiescent(std::string *why) const override;
 
+    /** Base checks plus: every busy-output bit equals "that output
+     *  streams, bypasses, stages flits or has queued work". */
+    bool activityExact(std::string *why) const override;
+
     void attachTelemetry(Telemetry &telemetry) override;
 
     // --- Hardware barrier support (companion IPPS'97 scheme) -------
@@ -134,6 +139,11 @@ class CentralBufferSwitch : public SwitchBase
         PacketPtr bypassPkt;
         /** Central-queue mode: entry being written. */
         CentralQueue::EntryId entry = CentralQueue::kNoEntry;
+        /** The head packet's route, decoded once under routedBy (null
+         *  until decoded); a multicast waiting for its reservation
+         *  reuses it unless setRouting() swapped the table. */
+        std::unique_ptr<RouteDecision> route;
+        const SwitchRouting *routedBy = nullptr;
     };
 
     /** One output port's claim on a central-queue entry. */
@@ -183,6 +193,11 @@ class CentralBufferSwitch : public SwitchBase
     void finishHeadPacket(std::size_t i);
     /** Free @p n FIFO slots of input @p i, returning their credits. */
     void releaseInput(std::size_t i, int n, Cycle now);
+    /** Output slot @p o has work: every QueueItem push and bypass
+     *  claim goes through here. */
+    void markOut(std::size_t o) { busyOut_.set(o); }
+    /** Output slot @p o finished its bypass or stream. */
+    void finishOutput(std::size_t o);
 
     /** Queue-length cost used by adaptive up-port choice. */
     int outputBacklog(PortId port, int lane) const;
@@ -202,6 +217,11 @@ class CentralBufferSwitch : public SwitchBase
     /** laneIdx-flattened: (port, lane) for ports 0..radix. */
     std::vector<InputState> inputs_;
     std::vector<OutputState> outputs_;
+    /** Output slots with work (see markOut()); cleared when a bypass
+     *  or stream finishes with an empty queue. */
+    SlotMask busyOut_;
+    /** Per-step scratch: requesters for the CQ write/read arbiters. */
+    std::vector<int> eligible_;
     RoundRobinArbiter writeArb_;
     RoundRobinArbiter readArb_;
     TimeAverage cqOcc_;

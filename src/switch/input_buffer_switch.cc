@@ -146,9 +146,10 @@ InputBufferSwitch::laneCost(const RouteDecision &route, int lane) const
 void
 InputBufferSwitch::decodeHeads(Cycle now)
 {
-    for (std::size_t i = 0; i < inputs_.size(); ++i) {
+    for (std::size_t i = held_.next(0); i != SlotMask::kEnd;
+         i = held_.next(i + 1)) {
         InputState &input = inputs_[i];
-        if (input.decoded || fifos_[i].packets.empty())
+        if (input.decoded)
             continue;
         const PacketRecord &rec = fifos_[i].packets.front();
         if (rec.arrived < rec.pkt->headerFlits)
@@ -229,7 +230,8 @@ InputBufferSwitch::arbitrate()
         // up-port request whose worm was allocated this lane.
         std::vector<bool> request(inputs_.size(), false);
         std::vector<int> branchOf(inputs_.size(), -1);
-        for (std::size_t i = 0; i < inputs_.size(); ++i) {
+        for (std::size_t i = held_.next(0); i != SlotMask::kEnd;
+             i = held_.next(i + 1)) {
             InputState &input = inputs_[i];
             if (!input.decoded || input.outLane != lane)
                 continue;
@@ -316,7 +318,8 @@ InputBufferSwitch::arbitrateSync()
     // shot, or none. Inputs are served in round-robin order for
     // fairness.
     std::vector<bool> ready(inputs_.size(), false);
-    for (std::size_t i = 0; i < inputs_.size(); ++i) {
+    for (std::size_t i = held_.next(0); i != SlotMask::kEnd;
+         i = held_.next(i + 1)) {
         const InputState &input = inputs_[i];
         if (!input.decoded)
             continue;
@@ -392,7 +395,8 @@ InputBufferSwitch::arbitrateSync()
 void
 InputBufferSwitch::transmitSync(Cycle now)
 {
-    for (std::size_t i = 0; i < inputs_.size(); ++i) {
+    for (std::size_t i = held_.next(0); i != SlotMask::kEnd;
+         i = held_.next(i + 1)) {
         InputState &input = inputs_[i];
         if (!fullyGranted(input))
             continue;
@@ -464,10 +468,11 @@ InputBufferSwitch::transmitSync(Cycle now)
 void
 InputBufferSwitch::release(Cycle now)
 {
-    for (std::size_t i = 0; i < inputs_.size(); ++i) {
+    for (std::size_t i = held_.next(0); i != SlotMask::kEnd;
+         i = held_.next(i + 1)) {
         InputState &input = inputs_[i];
         InputFifo &fifo = fifos_[i];
-        if (!input.decoded || fifo.packets.empty())
+        if (!input.decoded)
             continue;
         const PacketRecord &rec = fifo.packets.front();
         const int total = rec.pkt->totalFlits();
@@ -495,7 +500,7 @@ InputBufferSwitch::release(Cycle now)
         if (input.released == total) {
             MDW_ASSERT(rec.arrived == total,
                        "released more flits than arrived");
-            fifo.packets.pop_front();
+            popInputPacket(i);
             input.decoded = false;
             input.branches.clear();
             input.upPending = false;

@@ -1,5 +1,6 @@
 #include "switch/switch_base.hh"
 
+#include <algorithm>
 #include <functional>
 
 #include "sim/system.hh"
@@ -27,6 +28,7 @@ SwitchBase::SwitchBase(std::string name, SwitchId id,
       fifos_(static_cast<std::size_t>(routing->radix()) *
                  static_cast<std::size_t>(params.lanes),
              InputFifo{{}, inputFlits}),
+      held_(fifos_.size()),
       outs_(static_cast<std::size_t>(routing->radix())),
       portTx_(static_cast<std::size_t>(routing->radix())),
       laneTx_(static_cast<std::size_t>(routing->radix()) *
@@ -48,8 +50,11 @@ SwitchBase::connectIn(PortId port, Channel<Flit> *in,
                id_, port);
     p.in = in;
     p.creditOut = creditOut;
-    // Arriving flits must be able to rouse a sleeping switch.
+    // Arriving flits must be able to rouse a sleeping switch, and
+    // lower the port's arrival bound so intake looks at it.
     in->setWakeSink(this);
+    p.next = in->nextArrival();
+    in->setArrivalHint(&p.next);
 }
 
 void
@@ -73,20 +78,18 @@ SwitchBase::connectOut(PortId port, Channel<Flit> *out,
     // or quiescence (credits back home) would stall under the fast
     // path.
     creditIn->setWakeSink(this);
+    p.next = creditIn->nextArrival();
+    creditIn->setArrivalHint(&p.next);
 }
 
 Cycle
 SwitchBase::earliestLinkArrival() const
 {
     Cycle next = kNoCycle;
-    for (const InPort &p : ins_) {
-        if (p.in != nullptr && p.in->nextArrival() < next)
-            next = p.in->nextArrival();
-    }
-    for (const OutPort &p : outs_) {
-        if (p.creditIn != nullptr && p.creditIn->nextArrival() < next)
-            next = p.creditIn->nextArrival();
-    }
+    for (const InPort &p : ins_)
+        next = std::min(next, p.next);
+    for (const OutPort &p : outs_)
+        next = std::min(next, p.next);
     return next;
 }
 
@@ -174,6 +177,43 @@ SwitchBase::quiescent(std::string *why) const
     return true;
 }
 
+bool
+SwitchBase::activityExact(std::string *why) const
+{
+    bool ok = true;
+    auto complain = [&](const std::string &what) {
+        if (why)
+            *why += name() + ": " + what + "; ";
+        ok = false;
+    };
+    for (std::size_t p = 0; p < ins_.size(); ++p) {
+        const InPort &in = ins_[p];
+        const Cycle arrival =
+            in.connected() ? in.in->nextArrival() : kNoCycle;
+        if (in.connected() ? in.next > arrival : in.next != kNoCycle)
+            complain("input " + std::to_string(p) + " arrival bound " +
+                     std::to_string(in.next) + " above next arrival " +
+                     std::to_string(arrival));
+    }
+    for (std::size_t p = 0; p < outs_.size(); ++p) {
+        const OutPort &out = outs_[p];
+        const Cycle arrival =
+            out.creditIn ? out.creditIn->nextArrival() : kNoCycle;
+        if (out.creditIn ? out.next > arrival : out.next != kNoCycle)
+            complain("output " + std::to_string(p) +
+                     " credit bound " + std::to_string(out.next) +
+                     " above next arrival " + std::to_string(arrival));
+    }
+    for (std::size_t i = 0; i < fifos_.size(); ++i) {
+        if (held_.test(i) != !fifos_[i].packets.empty())
+            complain("held-input bit " + std::to_string(i) + " is " +
+                     std::to_string(held_.test(i)) + " with " +
+                     std::to_string(fifos_[i].packets.size()) +
+                     " packet(s) queued");
+    }
+    return ok;
+}
+
 std::uint64_t
 SwitchBase::portTxFlits(PortId port) const
 {
@@ -209,7 +249,8 @@ void
 SwitchBase::collectCredits(Cycle now)
 {
     for (auto &p : outs_) {
-        if (!p.creditIn)
+        // Nothing due (or no credit link): receiving would be a no-op.
+        if (p.next > now)
             continue;
         // A failed output's credits are meaningless (the tombstone
         // sink never spends them); discard so the channel drains and
@@ -218,6 +259,7 @@ SwitchBase::collectCredits(Cycle now)
             (void)p.creditIn->receive(now);
         else
             (void)p.creditIn->receiveByLane(now, p.credits);
+        p.next = p.creditIn->nextArrival();
     }
 }
 
@@ -225,16 +267,24 @@ void
 SwitchBase::intake(Cycle now)
 {
     for (std::size_t i = 0; i < ins_.size(); ++i) {
-        if (!ins_[i].connected() || !ins_[i].in->peek(now))
+        InPort &port = ins_[i];
+        // Nothing due (or no link): peeking would find nothing.
+        if (port.next > now)
             continue;
-        if (ins_[i].failed) {
+        if (!port.in->peek(now)) {
+            port.next = port.in->nextArrival();
+            continue;
+        }
+        if (port.failed) {
             // Dead link: whatever was still in flight is lost (the
             // fabrication path completes any cut-off packet instead).
-            (void)ins_[i].in->receive(now);
+            (void)port.in->receive(now);
+            port.next = port.in->nextArrival();
             noteTombstone();
             continue;
         }
-        Flit flit = ins_[i].in->receive(now);
+        Flit flit = port.in->receive(now);
+        port.next = port.in->nextArrival();
         MDW_ASSERT(flit.lane >= 0 && flit.lane < lanes(),
                    "switch %d input %zu: flit on lane %d of %d", id_,
                    i, flit.lane, lanes());
@@ -247,6 +297,7 @@ SwitchBase::intake(Cycle now)
         stats_.flitsIn.inc();
         if (flit.isHead()) {
             fifo.packets.push_back(PacketRecord{flit.pkt, 1});
+            held_.set(laneIdx(i, flit.lane));
         } else {
             MDW_ASSERT(!fifo.packets.empty() &&
                            fifo.packets.back().pkt->id == flit.pkt->id,
@@ -270,10 +321,10 @@ SwitchBase::fabricateFailedArrivals()
     // normal pipeline and the poisoned id makes every NIC discard it
     // on arrival (end-to-end CRC model); retransmission re-covers the
     // destinations.
-    for (std::size_t i = 0; i < fifos_.size(); ++i) {
+    for (std::size_t i = held_.next(0); i != SlotMask::kEnd;
+         i = held_.next(i + 1)) {
         InputFifo &fifo = fifos_[i];
-        if (!ins_[i / static_cast<std::size_t>(lanes())].failed ||
-            fifo.packets.empty())
+        if (!ins_[i / static_cast<std::size_t>(lanes())].failed)
             continue;
         PacketRecord &rec = fifo.packets.back();
         if (rec.arrived >= rec.pkt->totalFlits())
@@ -287,16 +338,6 @@ SwitchBase::fabricateFailedArrivals()
         if (sim_)
             sim_->noteProgress();
     }
-}
-
-bool
-SwitchBase::inputsBuffered() const
-{
-    for (const InputFifo &fifo : fifos_) {
-        if (!fifo.packets.empty())
-            return true;
-    }
-    return false;
 }
 
 void
@@ -367,11 +408,9 @@ SwitchBase::canStartPacket(const OutPort &port, int lane,
 }
 
 int
-SwitchBase::serviceLane(Cycle now, int slot) const
+SwitchBase::serviceLaneMulti(Cycle now, int slot) const
 {
     const int total = params_.lanes;
-    if (total == 1)
-        return 0;
     // Class 1 owns the upper partition and is served first.
     const int base = laneClassBase(total, 1);
     const int latency = total - base;

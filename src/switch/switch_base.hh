@@ -10,6 +10,8 @@
 #ifndef MDW_SWITCH_SWITCH_BASE_HH
 #define MDW_SWITCH_SWITCH_BASE_HH
 
+#include <bit>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <string>
@@ -105,6 +107,67 @@ struct SwitchStats
     /** Cycles a lane had a flit ready but lost the physical-link
      *  mux to another lane (only counted when lanes > 1). */
     Counter laneStallCycles;
+};
+
+/**
+ * A set of laneIdx-flattened (port, lane) slots, one bit each. The
+ * switch pipeline walks these sets instead of every slot: next()
+ * reads the live words, so a loop `for (s = m.next(0); s != kEnd;
+ * s = m.next(s + 1))` visits slots in ascending order exactly as a
+ * full scan that skips unset slots would, even when the body sets or
+ * clears bits.
+ */
+class SlotMask
+{
+  public:
+    static constexpr std::size_t kEnd = ~std::size_t{0};
+
+    explicit SlotMask(std::size_t slots) : words_((slots + 63) / 64) {}
+
+    void set(std::size_t slot) { words_[slot >> 6] |= bit(slot); }
+    void clear(std::size_t slot) { words_[slot >> 6] &= ~bit(slot); }
+    bool
+    test(std::size_t slot) const
+    {
+        return (words_[slot >> 6] & bit(slot)) != 0;
+    }
+
+    bool
+    any() const
+    {
+        for (const std::uint64_t word : words_) {
+            if (word != 0)
+                return true;
+        }
+        return false;
+    }
+
+    /** First set slot >= @p from, or kEnd. */
+    std::size_t
+    next(std::size_t from) const
+    {
+        std::size_t w = from >> 6;
+        if (w >= words_.size())
+            return kEnd;
+        std::uint64_t word =
+            words_[w] & (~std::uint64_t{0} << (from & 63));
+        while (word == 0) {
+            if (++w == words_.size())
+                return kEnd;
+            word = words_[w];
+        }
+        return (w << 6) +
+               static_cast<std::size_t>(std::countr_zero(word));
+    }
+
+  private:
+    static std::uint64_t
+    bit(std::size_t slot)
+    {
+        return std::uint64_t{1} << (slot & 63);
+    }
+
+    std::vector<std::uint64_t> words_;
 };
 
 /**
@@ -219,6 +282,18 @@ class SwitchBase : public Component
     virtual bool quiescent(std::string *why) const;
 
     /**
+     * Check the activity bookkeeping that lets step() skip idle
+     * ports, recomputed from scratch: every port's arrival bound is
+     * <= its channel's nextArrival() (kNoCycle on an unattached
+     * port), and every held-input bit equals "that FIFO holds a
+     * packet". A skipped port is then one where running the stage
+     * would have done nothing. On failure returns false and appends
+     * a reason to @p why (if given). Architectures extend this with
+     * their own masks.
+     */
+    virtual bool activityExact(std::string *why) const;
+
+    /**
      * Register this switch's stats under "switch.<id>." (per-port tx
      * counters under "switch.<id>.port.<p>.") and pick up the shared
      * worm tracer. Called once by the network after wiring, so only
@@ -232,6 +307,10 @@ class SwitchBase : public Component
     {
         Channel<Flit> *in = nullptr;
         CreditChannel *creditOut = nullptr;
+        /** Lower bound on in->nextArrival(), lowered by the channel
+         *  on every arrival; intake skips the port while it is in the
+         *  future. kNoCycle while unattached. */
+        Cycle next = kNoCycle;
         bool failed = false;
         bool connected() const { return in != nullptr; }
     };
@@ -240,6 +319,10 @@ class SwitchBase : public Component
     {
         Channel<Flit> *out = nullptr;
         CreditChannel *creditIn = nullptr;
+        /** Lower bound on creditIn->nextArrival() (see InPort::next);
+         *  credit collection skips the port while it is in the
+         *  future. */
+        Cycle next = kNoCycle;
         /** Per-lane credit counters (size = params.lanes); each lane
          *  gets the receiver's full advertised window. */
         std::vector<int> credits;
@@ -276,6 +359,9 @@ class SwitchBase : public Component
     /** Lanes per link (== params.lanes, >= 1). */
     int lanes() const { return params_.lanes; }
 
+    /** serviceLane() for links with more than one lane. */
+    int serviceLaneMulti(Cycle now, int slot) const;
+
     /** Flattened (port, lane) index used by per-lane switch state. */
     std::size_t
     laneIdx(std::size_t port, int lane) const
@@ -306,7 +392,11 @@ class SwitchBase : public Component
      * the latency partition is idle — priority, not starvation.
      * With lanes == 1 every slot is lane 0 (single-lane identity).
      */
-    int serviceLane(Cycle now, int slot) const;
+    int
+    serviceLane(Cycle now, int slot) const
+    {
+        return params_.lanes == 1 ? 0 : serviceLaneMulti(now, slot);
+    }
 
     /**
      * Move this cycle's flit (if any) off every input link into its
@@ -322,7 +412,20 @@ class SwitchBase : public Component
     void fabricateFailedArrivals();
 
     /** True if any input FIFO holds a (possibly partial) packet. */
-    bool inputsBuffered() const;
+    bool inputsBuffered() const { return held_.any(); }
+
+    /**
+     * Pop the head packet of input FIFO @p slot. Every FIFO pop goes
+     * through here so the held-input mask stays exact.
+     */
+    void
+    popInputPacket(std::size_t slot)
+    {
+        InputFifo &fifo = fifos_[slot];
+        fifo.packets.pop_front();
+        if (fifo.packets.empty())
+            held_.clear(slot);
+    }
 
     /** Sample the per-lane buffered-flit total (multi-lane only). */
     void sampleLaneOccupancy(Cycle now);
@@ -345,9 +448,10 @@ class SwitchBase : public Component
     /**
      * Earliest in-flight arrival on any attached link: data flits on
      * the inputs (including failed ones, whose flits must still be
-     * drained into tombstones) and returning credits on the outputs.
-     * kNoCycle when every link is empty. Architectures combine this
-     * with their buffer occupancy to implement nextWork().
+     * drained into tombstones) and returning credits on the outputs,
+     * read from the per-port arrival bounds. kNoCycle when every link
+     * is empty. Architectures combine this with their buffer
+     * occupancy to implement nextWork().
      */
     Cycle earliestLinkArrival() const;
 
@@ -421,6 +525,9 @@ class SwitchBase : public Component
     std::vector<InPort> ins_;
     /** laneIdx-flattened: (port, lane) for ports 0..radix. */
     std::vector<InputFifo> fifos_;
+    /** Input FIFOs holding a packet: set by intake() on a head flit,
+     *  cleared by popInputPacket() when the FIFO empties. */
+    SlotMask held_;
     std::vector<OutPort> outs_;
     std::vector<Counter> portTx_;
     /** Per-(port, lane) tx flits, laneIdx-flattened; registered as
