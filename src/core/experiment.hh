@@ -111,14 +111,6 @@ struct ExperimentResult
     {
         return metrics.gauge("experiment.latency.unicast.p95");
     }
-    double unicastP99() const
-    {
-        return metrics.gauge("experiment.latency.unicast.p99");
-    }
-    double unicastP999() const
-    {
-        return metrics.gauge("experiment.latency.unicast.p999");
-    }
     double unicastCount() const
     {
         return static_cast<double>(unicastLatency().count());
@@ -131,10 +123,6 @@ struct ExperimentResult
     double mcastLastP99() const
     {
         return metrics.gauge("experiment.latency.mcast_last.p99");
-    }
-    double mcastLastP999() const
-    {
-        return metrics.gauge("experiment.latency.mcast_last.p999");
     }
     double mcastAvgAvg() const { return mcastAvgLatency().mean(); }
     double mcastCount() const
@@ -153,22 +141,9 @@ struct ExperimentResult
         return metrics.gauge("experiment.link_util.max");
     }
 
-    std::uint64_t replications() const
-    {
-        return metrics.counter("network.replications");
-    }
     std::uint64_t reservationStallCycles() const
     {
         return metrics.counter("network.reservation_stall_cycles");
-    }
-    double avgCqChunks() const
-    {
-        return metrics.gauge("network.cq.avg_chunks");
-    }
-    std::size_t endBacklogPackets() const
-    {
-        return static_cast<std::size_t>(
-            metrics.counter("experiment.end_backlog_packets"));
     }
 
     /** Fault-recovery activity (all zero on a fault-free run). */
@@ -180,10 +155,6 @@ struct ExperimentResult
     std::uint64_t retransmits() const
     {
         return metrics.counter("host.retransmits");
-    }
-    std::uint64_t poisonedDrops() const
-    {
-        return metrics.counter("host.poisoned_drops");
     }
     std::uint64_t duplicateDeliveries() const
     {
@@ -199,25 +170,9 @@ struct ExperimentResult
     }
 
     // --- Link-level integrity (all zero without transient faults) ---
-    std::uint64_t linkCorrupted() const
-    {
-        return metrics.counter("network.link.corrupted");
-    }
     std::uint64_t linkNaks() const
     {
         return metrics.counter("network.link.naks");
-    }
-    std::uint64_t linkReplays() const
-    {
-        return metrics.counter("network.link.replays");
-    }
-    std::uint64_t linkTimeouts() const
-    {
-        return metrics.counter("network.link.timeouts");
-    }
-    std::uint64_t linkEscalations() const
-    {
-        return metrics.counter("fault.link_escalations");
     }
     /** Deliveries discarded by the end-to-end payload checksum. */
     std::uint64_t csumFails() const

@@ -524,7 +524,8 @@ Network::setupSharding()
 void
 Network::requireSerial(const std::string &why)
 {
-    serialReason_ = why;
+    if (cfg_.shards > 1)
+        serialReason_ = why;
     if (effectiveShards_ == 0)
         return;
     sim_.clearSharding();

@@ -52,7 +52,7 @@ pruneBranch(const PacketPtr &parent, DestSet branchDests)
         branch.taint = std::make_shared<PacketTaint>();
         branch.taint->parent = parent->taint;
     }
-    return makePooled<const PacketDesc>(std::move(branch));
+    return std::make_shared<const PacketDesc>(std::move(branch));
 }
 
 } // namespace mdw

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "message/dest_set.hh"
-#include "message/pool.hh"
 #include "sim/types.hh"
 
 namespace mdw {
@@ -160,7 +159,7 @@ class PacketFactory
             proto.msg = nextMsg_++;
         if (integrity_)
             proto.taint = std::make_shared<PacketTaint>();
-        return makePooled<const PacketDesc>(std::move(proto));
+        return std::make_shared<const PacketDesc>(std::move(proto));
     }
 
     /** Reserve a message id (for multi-packet/multi-phase messages). */

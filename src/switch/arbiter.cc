@@ -64,23 +64,6 @@ RoundRobinArbiter::resize(int requesters)
 }
 
 int
-RoundRobinArbiter::grant(const std::vector<bool> &request)
-{
-    MDW_ASSERT(static_cast<int>(request.size()) == size_,
-               "request vector size %zu != arbiter size %d",
-               request.size(), size_);
-    for (int i = 1; i <= size_; ++i) {
-        const int idx = (last_ + i) % size_;
-        if (request[static_cast<std::size_t>(idx)]) {
-            last_ = idx;
-            ++grants_;
-            return idx;
-        }
-    }
-    return -1;
-}
-
-int
 RoundRobinArbiter::grantFrom(const std::vector<int> &requesters)
 {
     if (requesters.empty() || size_ == 0)

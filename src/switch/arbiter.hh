@@ -67,15 +67,10 @@ class RoundRobinArbiter
     void resize(int requesters);
 
     /**
-     * Grant one of the requesting inputs (request[i] true), starting
-     * the search after the last grant. Returns the granted index and
-     * rotates priority, or -1 if nobody requests.
-     */
-    int grant(const std::vector<bool> &request);
-
-    /**
-     * Same, with requests given as a list of requester indices
-     * (order-insensitive).
+     * Grant the requester (indices in @p requesters, in any order)
+     * that comes first in round-robin order after the last grant.
+     * Returns the granted index and rotates priority, or -1 if the
+     * list is empty.
      */
     int grantFrom(const std::vector<int> &requesters);
 

@@ -18,6 +18,7 @@ InputBufferSwitch::InputBufferSwitch(std::string name, SwitchId id,
     inputs_.resize(slots);
     outputs_.resize(slots);
     outputArb_.resize(slots);
+    branchOf_.resize(slots);
     for (auto &arb : outputArb_)
         arb.resize(static_cast<int>(slots));
     syncArb_.resize(static_cast<int>(slots));
@@ -226,38 +227,39 @@ InputBufferSwitch::arbitrate()
         if (outputs_[o].busy() || !outs_[port].connected())
             continue;
         // Gather inputs requesting this (output, lane): a concrete
-        // ungranted branch on this lane, or an unresolved adaptive
-        // up-port request whose worm was allocated this lane.
-        std::vector<bool> request(inputs_.size(), false);
-        std::vector<int> branchOf(inputs_.size(), -1);
+        // ungranted branch on this lane (the last such branch of an
+        // input wins), or an unresolved adaptive up-port request
+        // whose worm was allocated this lane.
+        requesters_.clear();
         for (std::size_t i = held_.next(0); i != SlotMask::kEnd;
              i = held_.next(i + 1)) {
-            InputState &input = inputs_[i];
+            const InputState &input = inputs_[i];
             if (!input.decoded || input.outLane != lane)
                 continue;
+            int branch_idx = -1;
             for (std::size_t b = 0; b < input.branches.size(); ++b) {
                 const Branch &branch = input.branches[b];
                 if (!branch.granted && !branch.done() &&
-                    branch.port == static_cast<PortId>(port)) {
-                    request[i] = true;
-                    branchOf[i] = static_cast<int>(b);
-                }
+                    branch.port == static_cast<PortId>(port))
+                    branch_idx = static_cast<int>(b);
             }
-            if (!request[i] && input.upPending &&
+            if (branch_idx < 0 && input.upPending &&
                 std::find(input.upCandidates.begin(),
                           input.upCandidates.end(),
                           static_cast<PortId>(port)) !=
-                    input.upCandidates.end()) {
-                request[i] = true;
-                branchOf[i] = -2; // up request marker
+                    input.upCandidates.end())
+                branch_idx = -2; // up request marker
+            if (branch_idx != -1) {
+                requesters_.push_back(static_cast<int>(i));
+                branchOf_[i] = branch_idx;
             }
         }
 
-        const int winner = outputArb_[o].grant(request);
+        const int winner = outputArb_[o].grantFrom(requesters_);
         if (winner < 0)
             continue;
         InputState &input = inputs_[static_cast<std::size_t>(winner)];
-        int branch_idx = branchOf[static_cast<std::size_t>(winner)];
+        int branch_idx = branchOf_[static_cast<std::size_t>(winner)];
         if (branch_idx == -2) {
             // Adaptive up request: materialize the up branch here.
             const PacketPtr &pkt =
@@ -317,7 +319,7 @@ InputBufferSwitch::arbitrateSync()
     // every output (port, lane) slot its head packet needs in one
     // shot, or none. Inputs are served in round-robin order for
     // fairness.
-    std::vector<bool> ready(inputs_.size(), false);
+    requesters_.clear();
     for (std::size_t i = held_.next(0); i != SlotMask::kEnd;
          i = held_.next(i + 1)) {
         const InputState &input = inputs_[i];
@@ -326,24 +328,27 @@ InputBufferSwitch::arbitrateSync()
         bool wants = input.upPending;
         for (const Branch &branch : input.branches)
             wants = wants || !branch.granted;
-        ready[i] = wants;
+        if (wants)
+            requesters_.push_back(static_cast<int>(i));
     }
 
     // Try every waiting input once, rotating priority.
-    for (std::size_t attempt = 0; attempt < inputs_.size(); ++attempt) {
-        const int i = syncArb_.grant(ready);
+    for (;;) {
+        const int i = syncArb_.grantFrom(requesters_);
         if (i < 0)
             return;
-        ready[static_cast<std::size_t>(i)] = false;
+        *std::find(requesters_.begin(), requesters_.end(), i) =
+            requesters_.back();
+        requesters_.pop_back();
         InputState &input = inputs_[static_cast<std::size_t>(i)];
         const int lane = input.outLane;
 
         // Collect the full port set: ungranted branches plus, if
         // unresolved, one free up candidate — all on the worm's lane.
-        std::vector<PortId> needed;
+        needed_.clear();
         for (const Branch &branch : input.branches) {
             if (!branch.granted)
-                needed.push_back(branch.port);
+                needed_.push_back(branch.port);
         }
         PortId up_choice = kInvalidPort;
         if (input.upPending) {
@@ -357,18 +362,18 @@ InputBufferSwitch::arbitrateSync()
             }
             if (up_choice == kInvalidPort)
                 continue; // no free up port: acquire nothing
-            needed.push_back(up_choice);
+            needed_.push_back(up_choice);
         }
 
         bool all_free = true;
-        for (PortId port : needed) {
+        for (PortId port : needed_) {
             if (outputs_[laneIdx(static_cast<std::size_t>(port), lane)]
                     .busy()) {
                 all_free = false;
                 break;
             }
         }
-        if (!all_free || needed.empty())
+        if (!all_free || needed_.empty())
             continue;
 
         // Commit: bind every port.

@@ -134,6 +134,14 @@ class InputBufferSwitch : public SwitchBase
     std::vector<OutputState> outputs_;
     std::vector<RoundRobinArbiter> outputArb_;
     RoundRobinArbiter syncArb_;
+    /** Per-step scratch: inputs requesting one output (arbitrate) or
+     *  waiting for all-or-nothing acquisition (arbitrateSync). */
+    std::vector<int> requesters_;
+    /** Per-input branch index behind its request (-2: adaptive up
+     *  request); valid only for this step's requesters_. */
+    std::vector<int> branchOf_;
+    /** Per-step scratch: output ports one synchronous grant binds. */
+    std::vector<PortId> needed_;
 };
 
 } // namespace mdw

@@ -121,31 +121,6 @@ makeShardPlan(const PortGraph &graph, std::size_t shards)
         }
     }
 
-    // Record the cut: every switch-switch link with endpoints in
-    // different shards, walked from the lower (switch, port) endpoint
-    // exactly like the network builder's wiring pass so each physical
-    // link appears once.
-    for (SwitchId a = 0; a < static_cast<SwitchId>(numSwitches);
-         ++a) {
-        for (PortId pa = 0; pa < static_cast<PortId>(graph.radix(a));
-             ++pa) {
-            const PortPeer &peer = graph.peer(a, pa);
-            if (!peer.isSwitch())
-                continue;
-            if (std::make_pair(a, pa) >
-                std::make_pair(peer.sw, peer.port))
-                continue;
-            if (plan.switchShard[static_cast<std::size_t>(a)] ==
-                plan.switchShard[static_cast<std::size_t>(peer.sw)])
-                continue;
-            BoundaryLink link;
-            link.a = a;
-            link.pa = pa;
-            link.b = peer.sw;
-            link.pb = peer.port;
-            plan.boundaryLinks.push_back(link);
-        }
-    }
     return plan;
 }
 

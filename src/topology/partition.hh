@@ -28,15 +28,6 @@
 
 namespace mdw {
 
-/** One switch-to-switch link crossing a shard boundary. */
-struct BoundaryLink
-{
-    SwitchId a = kInvalidSwitch;
-    PortId pa = kInvalidPort;
-    SwitchId b = kInvalidSwitch;
-    PortId pb = kInvalidPort;
-};
-
 /** A shard assignment for every switch of a topology. */
 struct ShardPlan
 {
@@ -44,13 +35,6 @@ struct ShardPlan
     std::size_t shards = 1;
     /** Shard of each switch, indexed by switch id. */
     std::vector<std::uint32_t> switchShard;
-    /**
-     * Every switch-to-switch link whose endpoints landed in
-     * different shards, one entry per physical link (recorded from
-     * the lower (switch, port) endpoint, matching the network
-     * builder's wiring pass).
-     */
-    std::vector<BoundaryLink> boundaryLinks;
 
     /** Switches assigned to shard @p s. */
     std::size_t countIn(std::uint32_t s) const;

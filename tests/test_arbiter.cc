@@ -4,6 +4,7 @@
  */
 
 #include <random>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -15,34 +16,34 @@ namespace {
 TEST(RoundRobinArbiter, GrantsNothingWithoutRequests)
 {
     RoundRobinArbiter arb(4);
-    EXPECT_EQ(arb.grant({false, false, false, false}), -1);
     EXPECT_EQ(arb.grantFrom({}), -1);
+    EXPECT_EQ(arb.totalGrants(), 0u);
 }
 
 TEST(RoundRobinArbiter, SingleRequester)
 {
     RoundRobinArbiter arb(4);
-    EXPECT_EQ(arb.grant({false, false, true, false}), 2);
-    EXPECT_EQ(arb.grant({false, false, true, false}), 2);
+    EXPECT_EQ(arb.grantFrom({2}), 2);
+    EXPECT_EQ(arb.grantFrom({2}), 2);
 }
 
 TEST(RoundRobinArbiter, RotatesUnderFullContention)
 {
     RoundRobinArbiter arb(3);
-    const std::vector<bool> all{true, true, true};
-    EXPECT_EQ(arb.grant(all), 0);
-    EXPECT_EQ(arb.grant(all), 1);
-    EXPECT_EQ(arb.grant(all), 2);
-    EXPECT_EQ(arb.grant(all), 0);
+    const std::vector<int> all{0, 1, 2};
+    EXPECT_EQ(arb.grantFrom(all), 0);
+    EXPECT_EQ(arb.grantFrom(all), 1);
+    EXPECT_EQ(arb.grantFrom(all), 2);
+    EXPECT_EQ(arb.grantFrom(all), 0);
 }
 
 TEST(RoundRobinArbiter, IsFairOverTime)
 {
     RoundRobinArbiter arb(4);
     int grants[4] = {};
-    const std::vector<bool> all{true, true, true, true};
+    const std::vector<int> all{0, 1, 2, 3};
     for (int i = 0; i < 400; ++i)
-        ++grants[arb.grant(all)];
+        ++grants[arb.grantFrom(all)];
     for (int g : grants)
         EXPECT_EQ(g, 100);
 }
@@ -50,37 +51,33 @@ TEST(RoundRobinArbiter, IsFairOverTime)
 TEST(RoundRobinArbiter, SkipsIdleRequesters)
 {
     RoundRobinArbiter arb(4);
-    EXPECT_EQ(arb.grant({true, false, true, false}), 0);
-    EXPECT_EQ(arb.grant({true, false, true, false}), 2);
-    EXPECT_EQ(arb.grant({true, false, true, false}), 0);
+    EXPECT_EQ(arb.grantFrom({0, 2}), 0);
+    EXPECT_EQ(arb.grantFrom({0, 2}), 2);
+    EXPECT_EQ(arb.grantFrom({0, 2}), 0);
 }
 
-TEST(RoundRobinArbiter, GrantFromMatchesGrant)
+TEST(RoundRobinArbiter, RequesterOrderDoesNotMatter)
 {
-    RoundRobinArbiter a(4), b(4);
-    const std::vector<std::vector<int>> reqs = {
-        {0, 2}, {0, 2}, {1, 3}, {0, 1, 2, 3}, {3}};
-    for (const auto &req : reqs) {
-        std::vector<bool> mask(4, false);
-        for (int r : req)
-            mask[static_cast<std::size_t>(r)] = true;
-        EXPECT_EQ(a.grantFrom(req), b.grant(mask));
-    }
+    RoundRobinArbiter arb(4);
+    EXPECT_EQ(arb.grantFrom({3, 1}), 1);
+    EXPECT_EQ(arb.grantFrom({1, 3}), 3);
+    EXPECT_EQ(arb.grantFrom({3, 0, 1}), 0);
 }
 
 TEST(RoundRobinArbiter, ResizeResetsPriority)
 {
     RoundRobinArbiter arb(2);
-    EXPECT_EQ(arb.grant({true, true}), 0);
+    EXPECT_EQ(arb.grantFrom({0, 1}), 0);
     arb.resize(3);
     EXPECT_EQ(arb.size(), 3);
-    EXPECT_EQ(arb.grant({true, true, true}), 0);
+    EXPECT_EQ(arb.grantFrom({0, 1, 2}), 0);
 }
 
-TEST(RoundRobinArbiterDeath, SizeMismatchPanics)
+TEST(RoundRobinArbiterDeath, RequesterOutOfRangePanics)
 {
     RoundRobinArbiter arb(2);
-    EXPECT_DEATH((void)arb.grant({true}), "arbiter size");
+    EXPECT_DEATH((void)arb.grantFrom({2}), "out of range");
+    EXPECT_DEATH((void)arb.grantFrom({-1}), "out of range");
 }
 
 // --- Lane partitioning ---------------------------------------------
@@ -124,16 +121,15 @@ TEST(LanePartition, FlattenedArbiterEmbedsSingleLaneArbiter)
     RoundRobinArbiter flat(ports * lanes), narrow(ports);
     std::mt19937 rng(7);
     for (int round = 0; round < 200; ++round) {
-        std::vector<bool> req(static_cast<std::size_t>(ports), false);
-        std::vector<bool> wide(
-            static_cast<std::size_t>(ports * lanes), false);
+        std::vector<int> req, wide;
         for (int p = 0; p < ports; ++p) {
-            const bool want = (rng() & 1) != 0;
-            req[static_cast<std::size_t>(p)] = want;
-            wide[static_cast<std::size_t>(p * lanes)] = want; // lane 0
+            if ((rng() & 1) != 0) {
+                req.push_back(p);
+                wide.push_back(p * lanes); // lane 0
+            }
         }
-        const int got = flat.grant(wide);
-        const int ref = narrow.grant(req);
+        const int got = flat.grantFrom(wide);
+        const int ref = narrow.grantFrom(req);
         EXPECT_EQ(got, ref < 0 ? -1 : ref * lanes) << "round " << round;
     }
 }
@@ -148,7 +144,7 @@ TEST(LanePartition, NeitherClassStarvesUnderContention)
     RoundRobinArbiter arb(lanes);
     int grants[2] = {};
     for (int i = 0; i < 100; ++i)
-        ++grants[arb.grant({true, true})];
+        ++grants[arb.grantFrom({0, 1})];
     EXPECT_EQ(grants[0], 50);
     EXPECT_EQ(grants[1], 50);
 }

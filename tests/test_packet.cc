@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "message/flit.hh"
 #include "message/packet.hh"
 
@@ -47,6 +50,42 @@ TEST(PacketFactory, KeepsExplicitMsgId)
     proto.payloadFlits = 4;
     auto pkt = factory.make(std::move(proto));
     EXPECT_EQ(pkt->msg, msg);
+}
+
+TEST(PacketFactory, CrossThreadFreeIsSafe)
+{
+    // Allocate packets and pruned branches on worker threads, free
+    // them on the main thread: the shard workers and the serial phase
+    // hand PacketDescs (and their integrity chains) across threads
+    // like this every cycle.
+    std::vector<std::vector<PacketPtr>> per(4);
+    std::vector<std::thread> workers;
+    for (std::size_t t = 0; t < per.size(); ++t) {
+        workers.emplace_back([&per, t] {
+            PacketFactory factory;
+            factory.enableIntegrityTracking();
+            for (int i = 0; i < 300; ++i) {
+                PacketPtr pkt = makePacket(
+                    factory, {1, 2}, 3, static_cast<int>(t) * 1000 + i);
+                per[t].push_back(pruneBranch(pkt, DestSet::of(16, {2})));
+                per[t].push_back(std::move(pkt));
+            }
+        });
+    }
+    for (std::thread &worker : workers)
+        worker.join();
+    for (std::size_t t = 0; t < per.size(); ++t) {
+        for (std::size_t i = 0; i < 300; ++i) {
+            const PacketPtr &branch = per[t][2 * i];
+            const PacketPtr &pkt = per[t][2 * i + 1];
+            EXPECT_EQ(pkt->payloadFlits,
+                      static_cast<int>(t * 1000 + i));
+            EXPECT_EQ(branch->id, pkt->id);
+            ASSERT_NE(branch->taint, nullptr);
+            EXPECT_EQ(branch->taint->parent, pkt->taint);
+        }
+    }
+    per.clear(); // the main thread frees every worker allocation
 }
 
 TEST(Packet, TotalFlits)

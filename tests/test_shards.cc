@@ -1,23 +1,21 @@
 /**
  * @file
  * Unit tests for the sharded-scheduler building blocks: boundary-mode
- * channels, the pooled packet allocator, per-shard trace rings, the
- * MDW_SHARDS environment override, and the Network-level per-shard
- * accounting (per-shard totals roll up to the flat totals).
+ * channels, per-shard trace rings, the MDW_SHARDS environment
+ * override, and the Network-level per-shard accounting (per-shard
+ * totals roll up to the flat totals).
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
+#include "core/hw_barrier.hh"
 #include "core/network.hh"
 #include "core/presets.hh"
-#include "message/pool.hh"
 #include "sim/channel.hh"
 #include "sim/shard_context.hh"
 #include "scoped_env.hh"
@@ -143,62 +141,6 @@ TEST(BoundaryChannelDeath, HookAndBoundaryAreExclusive)
     ch.setHook(nullptr);
     ch.setBoundary(&reg, 0);
     EXPECT_DEATH(ch.setHook(&hook), "boundary mode");
-}
-
-// ---------------------------------------------------------------------
-// Pooled allocator
-// ---------------------------------------------------------------------
-
-TEST(PacketPool, RecyclesBlocks)
-{
-    // Churn well past the transfer batch so blocks round-trip through
-    // the global free list and back into the thread cache.
-    std::vector<std::shared_ptr<const PacketDesc>> live;
-    for (int round = 0; round < 4; ++round) {
-        for (int i = 0; i < 200; ++i) {
-            PacketDesc desc;
-            desc.payloadFlits = i;
-            live.push_back(makePooled<const PacketDesc>(
-                std::move(desc)));
-        }
-        for (int i = 0; i < 200; ++i)
-            EXPECT_EQ(live[static_cast<std::size_t>(i)]->payloadFlits,
-                      i);
-        live.clear();
-    }
-}
-
-TEST(PacketPool, CrossThreadFreeIsSafe)
-{
-    // Allocate on worker threads, free on the main thread (and vice
-    // versa): the shard workers and the serial phase do exactly this
-    // with PacketDescs every cycle.
-    std::vector<std::shared_ptr<const PacketDesc>> fromWorkers;
-    std::vector<std::thread> pool;
-    std::vector<std::vector<std::shared_ptr<const PacketDesc>>> per(4);
-    for (int t = 0; t < 4; ++t) {
-        pool.emplace_back([&per, t] {
-            for (int i = 0; i < 300; ++i) {
-                PacketDesc desc;
-                desc.payloadFlits = t * 1000 + i;
-                per[static_cast<std::size_t>(t)].push_back(
-                    makePooled<const PacketDesc>(std::move(desc)));
-            }
-        });
-    }
-    for (std::thread &worker : pool)
-        worker.join();
-    for (auto &batch : per)
-        for (auto &pkt : batch)
-            fromWorkers.push_back(std::move(pkt));
-    for (int t = 0; t < 4; ++t) {
-        for (int i = 0; i < 300; ++i) {
-            EXPECT_EQ(fromWorkers[static_cast<std::size_t>(t * 300 + i)]
-                          ->payloadFlits,
-                      t * 1000 + i);
-        }
-    }
-    fromWorkers.clear(); // main thread frees every worker allocation
 }
 
 // ---------------------------------------------------------------------
@@ -340,7 +282,6 @@ TEST(ShardedNetwork, PerShardTotalsRollUpToFlatTotals)
 
     // The partition the network actually used covers every switch.
     EXPECT_EQ(net.shardPlan().switchShard.size(), net.numSwitches());
-    EXPECT_FALSE(net.shardPlan().boundaryLinks.empty());
 }
 
 TEST(ShardedNetwork, RequireSerialDissolvesSharding)
@@ -373,6 +314,20 @@ TEST(ShardedNetwork, RequireSerialDissolvesSharding)
                   .stats()
                   .packetsDelivered.value(),
               1u);
+}
+
+TEST(ShardedNetwork, FlatNetworkHasNoSerialReason)
+{
+    // A network that never asked for shards has nothing to dissolve:
+    // a serial-only subsystem leaves its serial reason empty.
+    const ScopedEnv fastPath("MDW_FAST_PATH", nullptr);
+    const ScopedEnv shards("MDW_SHARDS", nullptr);
+    NetworkConfig config = defaultNetwork();
+    config.shards = 1;
+    Network net(config);
+    HwBarrierManager barrier(net);
+    EXPECT_EQ(net.effectiveShards(), 0u);
+    EXPECT_TRUE(net.serialReason().empty()) << net.serialReason();
 }
 
 } // namespace

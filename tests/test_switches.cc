@@ -323,6 +323,25 @@ TEST(SyncReplication, BlockedBranchBlocksAllBranches)
     EXPECT_GT(done2, 400u);
 }
 
+TEST(SyncReplication, DisjointWormsAcquireTheirPortsTogether)
+{
+    // Two multicasts entering the switch on the same cycle need
+    // disjoint output sets, so one arbitration step grants both: the
+    // round-robin scan over waiting inputs must not stop at the first
+    // winner.
+    NetworkConfig config = starConfig(SwitchArch::InputBuffer);
+    config.fatTreeK = 8; // 8 hosts, 1 switch
+    config.sw.replication = ReplicationMode::Synchronous;
+    Network net(config);
+    net.nic(0).postMulticast(DestSet::of(8, {2, 3}), 32, 0);
+    net.nic(1).postMulticast(DestSet::of(8, {4, 5, 6}), 32, 0);
+    drain(net);
+    EXPECT_EQ(net.tracker().totalDeliveries(), 5u);
+    const Sampler &last = net.tracker().mcastLastLatency();
+    ASSERT_EQ(last.count(), 2u);
+    EXPECT_EQ(last.min(), last.max());
+}
+
 TEST(SyncReplication, RandomTrafficDrains)
 {
     for (std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
