@@ -24,11 +24,18 @@ struct BarrierResult
     double bgUnicastLatency = 0.0;
 };
 
-/** Mean hardware-barrier round time (switch combining + release). */
+/** Mean hardware-barrier round time (switch combining + release),
+ *  with the manager attached ahead of @p background (may be null). */
 double
-hwBarrierCycles(Network &net, int rounds, Cycle warmup, Cycle spacing)
+hwBarrierCycles(Network &net, Workload *background, int rounds,
+                Cycle warmup, Cycle spacing)
 {
     HwBarrierManager hw(net);
+    std::vector<Workload *> children{&hw};
+    if (background != nullptr)
+        children.push_back(background);
+    WorkloadMix mix(std::move(children));
+    net.attachWorkload(&mix);
     net.sim().run(warmup);
     DestSet all(net.numHosts());
     for (NodeId m = 0; m < static_cast<NodeId>(net.numHosts()); ++m)
@@ -49,6 +56,7 @@ hwBarrierCycles(Network &net, int rounds, Cycle warmup, Cycle spacing)
         barrier_cycles.add(static_cast<double>(done_at - start));
         net.sim().run(spacing);
     }
+    net.detachWorkload();
     return barrier_cycles.mean();
 }
 
@@ -77,9 +85,9 @@ measure(Scheme scheme, bool hwCombining, double bgLoad, int rounds,
 
     BarrierResult result;
     if (hwCombining) {
-        if (bgLoad > 0.0)
-            net.attachWorkload(&source);
-        result.meanCycles = hwBarrierCycles(net, rounds, warmup, spacing);
+        result.meanCycles =
+            hwBarrierCycles(net, bgLoad > 0.0 ? &source : nullptr,
+                            rounds, warmup, spacing);
     } else {
         // Arrive unicasts to root 0, then its release multicast; the
         // kernel polls ahead of the background in every NIC.

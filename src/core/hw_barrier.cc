@@ -25,13 +25,6 @@ HwBarrierManager::HwBarrierManager(Network &net)
             },
             [this](int group) { return makeReleaseDesc(group); });
     }
-    for (NodeId n = 0; n < static_cast<NodeId>(net_.numHosts()); ++n) {
-        net_.nic(n).setDeliveryCallback(
-            [this, n](const PacketDesc &pkt, int payload, Cycle now) {
-                (void)payload;
-                onDelivery(n, pkt, now);
-            });
-    }
 }
 
 int
@@ -81,7 +74,6 @@ HwBarrierManager::createGroup(const DestSet &members)
 
     Group state;
     state.members = members;
-    state.waiting = DestSet(net_.numHosts());
     groups_.emplace(group, std::move(state));
     return group;
 }
@@ -117,7 +109,6 @@ HwBarrierManager::startBarrier(int group, Done done)
                "barrier group %d already has a round in flight", group);
     state.active = true;
     state.done = std::move(done);
-    state.waiting = state.members;
     state.releaseMsg = net_.packetFactory().newMsgId();
     net_.tracker().expectMessage(state.releaseMsg, kInvalidNode,
                                  state.members.count(),
@@ -132,18 +123,12 @@ HwBarrierManager::startBarrier(int group, Done done)
 }
 
 void
-HwBarrierManager::onDelivery(NodeId at, const PacketDesc &pkt,
-                             Cycle now)
+HwBarrierManager::onCompleted(MsgId msg, NodeId, Cycle now)
 {
-    const auto msg_it = msgToGroup_.find(pkt.msg);
+    const auto msg_it = msgToGroup_.find(msg);
     if (msg_it == msgToGroup_.end())
         return;
     Group &state = groups_.at(msg_it->second);
-    MDW_ASSERT(state.waiting.test(at),
-               "duplicate release delivery at node %d", at);
-    state.waiting.clear(at);
-    if (!state.waiting.empty())
-        return;
     msgToGroup_.erase(msg_it);
     state.active = false;
     --pending_;

@@ -18,8 +18,10 @@
  * in the middle of the network rather than from a host.
  *
  * Requires the central-buffer architecture (the SP-Switch-style
- * design the companion paper targets). Takes over every NIC's
- * delivery callback, so one manager per Network.
+ * design the companion paper targets). The manager is a Workload: a
+ * round finishes when the tracker retires its release, which reaches
+ * the manager only while it is attached to the Network (alone, or in
+ * a WorkloadMix beside other traffic). One manager per Network.
  */
 
 #ifndef MDW_CORE_HW_BARRIER_HH
@@ -29,11 +31,12 @@
 #include <unordered_map>
 
 #include "core/network.hh"
+#include "host/workload.hh"
 
 namespace mdw {
 
 /** Plans combining trees and runs hardware barrier rounds. */
-class HwBarrierManager
+class HwBarrierManager : public Workload
 {
   public:
     using Done = std::function<void(Cycle)>;
@@ -55,6 +58,15 @@ class HwBarrierManager
      */
     void startBarrier(int group, Done done);
 
+    /** Arrival tokens are posted by startBarrier(), not polled. */
+    void poll(NodeId, Cycle, std::vector<MessageSpec> &) override {}
+
+    /** Nothing to poll, so the NICs may sleep between rounds. */
+    Cycle nextArrival(NodeId, Cycle) override { return kNoCycle; }
+
+    /** Finishes the round whose release worm @p msg retired. */
+    void onCompleted(MsgId msg, NodeId src, Cycle now) override;
+
     /** Rounds in flight. */
     std::size_t pendingBarriers() const { return pending_; }
 
@@ -67,12 +79,10 @@ class HwBarrierManager
         DestSet members{0};
         bool active = false;
         MsgId releaseMsg = 0;
-        DestSet waiting{0};
         Done done;
     };
 
     PacketDesc makeReleaseDesc(int group);
-    void onDelivery(NodeId at, const PacketDesc &pkt, Cycle now);
 
     Network &net_;
     std::unordered_map<int, Group> groups_;

@@ -790,21 +790,30 @@ Network::checkQuiescent(std::string *why) const
     return ok;
 }
 
+namespace {
+
+/** Add one switch's counters to @p totals. */
+void
+addSwitchTotals(NetworkTotals &totals, const SwitchStats &stats)
+{
+    totals.flitsIn += stats.flitsIn.value();
+    totals.flitsOut += stats.flitsOut.value();
+    totals.packetsRouted += stats.packetsRouted.value();
+    totals.replications += stats.replications.value();
+    totals.reservationStallCycles += stats.reservationStallCycles.value();
+}
+
+} // namespace
+
 NetworkTotals
 Network::totalsForShard(std::uint32_t shard) const
 {
     NetworkTotals totals;
+    if (effectiveShards_ == 0)
+        return totals;
     for (std::size_t s = 0; s < switches_.size(); ++s) {
-        if (effectiveShards_ == 0 ||
-            shardPlan_.switchShard[s] != shard)
-            continue;
-        const SwitchStats &stats = switches_[s]->stats();
-        totals.flitsIn += stats.flitsIn.value();
-        totals.flitsOut += stats.flitsOut.value();
-        totals.packetsRouted += stats.packetsRouted.value();
-        totals.replications += stats.replications.value();
-        totals.reservationStallCycles +=
-            stats.reservationStallCycles.value();
+        if (shardPlan_.switchShard[s] == shard)
+            addSwitchTotals(totals, switches_[s]->stats());
     }
     return totals;
 }
@@ -813,15 +822,8 @@ NetworkTotals
 Network::totals() const
 {
     NetworkTotals totals;
-    for (const auto &sw : switches_) {
-        const SwitchStats &stats = sw->stats();
-        totals.flitsIn += stats.flitsIn.value();
-        totals.flitsOut += stats.flitsOut.value();
-        totals.packetsRouted += stats.packetsRouted.value();
-        totals.replications += stats.replications.value();
-        totals.reservationStallCycles +=
-            stats.reservationStallCycles.value();
-    }
+    for (const auto &sw : switches_)
+        addSwitchTotals(totals, sw->stats());
     return totals;
 }
 

@@ -211,12 +211,6 @@ class Network
      */
     LinkLayer *linkLayer(SwitchId sw, PortId port);
 
-    /** All instantiated link layers (diagnosis/tests). */
-    const std::vector<std::unique_ptr<LinkLayer>> &linkLayers() const
-    {
-        return linkLayers_;
-    }
-
     /**
      * A fail-stop fault took this switch-switch link down: stop both
      * directions' ARQ (later sends drop-and-poison). No-op when no

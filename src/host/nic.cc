@@ -603,11 +603,7 @@ Nic::deliver(const PacketPtr &pkt, Cycle now)
         message_payload = rx.payload;
         rxMessages_.erase(pkt->msg);
     }
-    if (source_)
-        source_->onDelivered(pkt->msg, id_, now);
     tracker_->onDelivered(pkt->msg, id_, now, message_payload);
-    if (onDelivery_)
-        onDelivery_(*pkt, message_payload, now);
 
     if (pkt->kind == PacketKind::SwMulticastCarrier &&
         !pkt->swDelegated.empty()) {

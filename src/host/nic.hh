@@ -19,7 +19,6 @@
 #define MDW_HOST_NIC_HH
 
 #include <deque>
-#include <functional>
 #include <map>
 #include <unordered_map>
 #include <unordered_set>
@@ -146,23 +145,8 @@ class Nic : public Component
     }
 
     /** Attach a workload polled every cycle (not owned). The NIC
-     *  also feeds the workload's onPosted/onDelivered hooks. */
+     *  also feeds the workload's onPosted hook. */
     void setWorkload(Workload *workload) { source_ = workload; }
-
-    /**
-     * Callback invoked on every *message-level* delivery at this
-     * node (after reassembly), with the descriptor of the completing
-     * packet, the message's total payload, and the cycle. Used by
-     * the hardware barrier (core/hw_barrier.hh).
-     */
-    using DeliveryCallback =
-        std::function<void(const PacketDesc &, int, Cycle)>;
-
-    void
-    setDeliveryCallback(DeliveryCallback callback)
-    {
-        onDelivery_ = std::move(callback);
-    }
 
     /**
      * Post a unicast message (application API). @p token is the
@@ -195,7 +179,6 @@ class Nic : public Component
 
     Cycle nextWork(Cycle now) override;
 
-    NodeId nodeId() const { return id_; }
     const NicStats &stats() const { return stats_; }
 
     /**
@@ -312,8 +295,6 @@ class Nic : public Component
     CreditChannel *rxCreditOut_ = nullptr;
     std::vector<PacketPtr> rxCurrent_;
     std::vector<int> rxArrived_;
-
-    DeliveryCallback onDelivery_;
 
     /** Reassembly of multi-packet messages. */
     struct RxMessage

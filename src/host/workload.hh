@@ -5,16 +5,16 @@
  * A Workload is polled by every NIC for messages to post (the
  * open-loop half) and is additionally *notified* of message
  * progress: onPosted() when a polled spec has been assigned a message
- * id, onDelivered() for every per-destination copy, and onCompleted()
- * when the tracker retires the whole message. Closed-loop workloads
- * use those notifications to release dependent messages, which in
- * turn wakes the sleeping NIC of the releasing node through the wake
- * hook — so the idle-skipping fast path stays bit-identical to the
+ * id, and onCompleted() when the tracker retires the whole message
+ * (its last copy delivered). Closed-loop workloads use those
+ * notifications to release dependent messages, which in turn wakes
+ * the sleeping NIC of the releasing node through the wake hook — so
+ * the idle-skipping fast path stays bit-identical to the
  * always-polled oracle.
  *
  * Determinism contract (the "release rule"): a hook observing an
  * event at cycle t may schedule new emissions no earlier than t+1.
- * Deliveries happen while components are being stepped, in an order
+ * Completions happen while components are being stepped, in an order
  * the oracle and the fast path do not guarantee to share; deferring
  * the reaction one cycle makes the reaction order observable only
  * through the (deterministic) cycle timeline.
@@ -90,7 +90,7 @@ class Workload
      * @p token is the originating spec's correlation id (0 for
      * untracked specs and for messages posted directly through the
      * NIC API). Invoked *before* the send leaves the NIC, so it
-     * always precedes onDelivered() and onCompleted() for @p msg —
+     * always precedes onCompleted() for @p msg —
      * even when a post retires synchronously because every
      * destination is written off as unreachable.
      */
@@ -100,17 +100,6 @@ class Workload
         (void)src;
         (void)token;
         (void)msg;
-        (void)now;
-    }
-
-    /** One copy of @p msg was delivered at @p node (after reassembly,
-     *  duplicates excluded). Fires for *every* tracked message at
-     *  this node, not only those this workload posted. */
-    virtual void
-    onDelivered(MsgId msg, NodeId node, Cycle now)
-    {
-        (void)msg;
-        (void)node;
         (void)now;
     }
 

@@ -172,7 +172,6 @@ class PacketFactory
      * allocates nothing extra.
      */
     void enableIntegrityTracking() { integrity_ = true; }
-    bool integrityTracking() const { return integrity_; }
 
     PacketId packetsCreated() const { return nextPacket_ - 1; }
 

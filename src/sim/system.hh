@@ -191,9 +191,6 @@ class Simulator : public BoundaryRegistrar
             lastProgress_ = now_;
     }
 
-    /** Cycle of the most recent reported progress. */
-    Cycle lastProgress() const { return lastProgress_; }
-
     /**
      * Arm the deadlock watchdog.
      * @param quietLimit Trip after this many progress-free cycles.

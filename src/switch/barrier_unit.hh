@@ -72,9 +72,6 @@ class BarrierUnit
      */
     Emit onArrive(int group, PortId port);
 
-    /** Number of configured groups (tests). */
-    std::size_t groupCount() const { return groups_.size(); }
-
     /** Tokens currently combined and waiting for peers (tests). */
     std::size_t pendingArrivals(int group) const;
 

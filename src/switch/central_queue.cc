@@ -224,12 +224,6 @@ CentralQueue::alive(EntryId id) const
     return entries_.count(id) > 0;
 }
 
-bool
-CentralQueue::isReserved(EntryId id) const
-{
-    return get(id).reserved;
-}
-
 const PacketPtr &
 CentralQueue::packet(EntryId id) const
 {

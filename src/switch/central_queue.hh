@@ -136,10 +136,6 @@ class CentralQueue
     /** True while the entry exists (not yet fully consumed). */
     bool alive(EntryId id) const;
 
-    /** True if the entry was admitted with a whole-packet
-     *  reservation. */
-    bool isReserved(EntryId id) const;
-
     const PacketPtr &packet(EntryId id) const;
 
     /** Chunks in use, shared pool + escape chunks. */

@@ -36,17 +36,6 @@ InputBufferSwitch::fullyGranted(const InputState &input)
     return true;
 }
 
-bool
-InputBufferSwitch::outputBusy(PortId port) const
-{
-    for (int l = 0; l < lanes(); ++l) {
-        if (outputs_.at(laneIdx(static_cast<std::size_t>(port), l))
-                .busy())
-            return true;
-    }
-    return false;
-}
-
 void
 InputBufferSwitch::dumpState(FILE *out) const
 {

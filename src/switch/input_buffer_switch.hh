@@ -63,9 +63,6 @@ class InputBufferSwitch : public SwitchBase
         return ReceivePolicy{inputFlits_, true};
     }
 
-    /** True if any lane of output @p port streams a branch (tests). */
-    bool outputBusy(PortId port) const;
-
     /** Print the full internal state (deadlock diagnosis). */
     void dumpState(FILE *out) const;
 

@@ -250,15 +250,6 @@ class SwitchBase : public Component
      */
     void failOutPort(PortId port);
 
-    bool inFailed(PortId port) const
-    {
-        return ins_.at(static_cast<std::size_t>(port)).failed;
-    }
-    bool outFailed(PortId port) const
-    {
-        return outs_.at(static_cast<std::size_t>(port)).failed;
-    }
-
     /** Throttle output @p port to one flit per @p factor cycles. */
     void degradeOutPort(PortId port, int factor);
 

@@ -88,10 +88,6 @@ struct RouteDecision
     DestSet unroutable;
 
     bool needsUp() const { return !upDests.empty(); }
-    std::size_t branchCount() const
-    {
-        return downBranches.size() + (needsUp() ? 1 : 0);
-    }
 };
 
 /** Per-switch routing state. */

@@ -47,18 +47,6 @@ ClosedLoopWorkload::onPosted(NodeId src, std::uint64_t token,
 }
 
 void
-ClosedLoopWorkload::onDelivered(MsgId msg, NodeId node, Cycle now)
-{
-    const auto it = tokenOf_.find(msg);
-    if (it == tokenOf_.end())
-        return; // not ours (another workload, untagged spec, ...)
-    inHook_ = true;
-    hookCycle_ = now;
-    onTokenDelivered(it->second, node, now);
-    inHook_ = false;
-}
-
-void
 ClosedLoopWorkload::onCompleted(MsgId msg, NodeId src, Cycle now)
 {
     (void)src;

@@ -8,7 +8,7 @@
  * the cycle-accurate oracle.
  *
  * Subclasses implement the actual dependency logic in
- * onTokenCompleted()/onTokenDelivered() and emit with scheduleSend().
+ * onTokenCompleted() and emit with scheduleSend().
  */
 
 #ifndef MDW_WORKLOAD_CLOSED_LOOP_HH
@@ -36,14 +36,9 @@ class ClosedLoopWorkload : public Workload
     void onPosted(NodeId src, std::uint64_t token, MsgId msg,
                   Cycle now) override;
 
-    void onDelivered(MsgId msg, NodeId node, Cycle now) override;
-
     void onCompleted(MsgId msg, NodeId src, Cycle now) override;
 
     std::size_t numHosts() const { return queues_.size(); }
-
-    /** Emissions scheduled but not yet handed to a NIC. */
-    std::size_t queuedEmissions() const { return queued_; }
 
     /** Emissions handed to a NIC so far (scheduled minus queued). */
     std::size_t emittedCount() const { return scheduled_ - queued_; }
@@ -66,15 +61,6 @@ class ClosedLoopWorkload : public Workload
      */
     void scheduleSend(NodeId node, Cycle when, MessageSpec spec,
                       std::uint64_t token);
-
-    /** One copy of the send tagged @p token landed at @p at. */
-    virtual void
-    onTokenDelivered(std::uint64_t token, NodeId at, Cycle now)
-    {
-        (void)token;
-        (void)at;
-        (void)now;
-    }
 
     /** The send tagged @p token fully retired at cycle @p now. */
     virtual void onTokenCompleted(std::uint64_t token, Cycle now) = 0;

@@ -231,13 +231,6 @@ class WorkloadMix : public Workload
     }
 
     void
-    onDelivered(MsgId msg, NodeId node, Cycle now) override
-    {
-        for (Workload *child : children_)
-            child->onDelivered(msg, node, now);
-    }
-
-    void
     onCompleted(MsgId msg, NodeId src, Cycle now) override
     {
         for (Workload *child : children_)

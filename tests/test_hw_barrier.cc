@@ -9,6 +9,7 @@
 
 #include "core/hw_barrier.hh"
 #include "core/presets.hh"
+#include "scoped_env.hh"
 #include "switch/barrier_unit.hh"
 #include "workload/kernels.hh"
 
@@ -86,6 +87,7 @@ TEST(HwBarrier, SingleRoundCompletes)
 {
     Network net(barrierNet());
     HwBarrierManager barrier(net);
+    net.attachWorkload(&barrier);
     DestSet members(net.numHosts());
     for (NodeId m : {0, 3, 7, 12, 15})
         members.set(m);
@@ -107,6 +109,7 @@ TEST(HwBarrier, TokensAreCombinedNotForwardedPerMember)
 {
     Network net(barrierNet());
     HwBarrierManager barrier(net);
+    net.attachWorkload(&barrier);
     DestSet everyone(net.numHosts());
     for (NodeId m = 0; m < 16; ++m)
         everyone.set(m);
@@ -133,6 +136,7 @@ TEST(HwBarrier, RepeatedRoundsReuseTheTree)
 {
     Network net(barrierNet());
     HwBarrierManager barrier(net);
+    net.attachWorkload(&barrier);
     DestSet members(net.numHosts());
     for (NodeId m : {1, 5, 9, 13})
         members.set(m);
@@ -152,6 +156,7 @@ TEST(HwBarrier, TwoGroupsOperateIndependently)
 {
     Network net(barrierNet());
     HwBarrierManager barrier(net);
+    net.attachWorkload(&barrier);
     const int a = barrier.createGroup(DestSet::of(16, {0, 1, 2}));
     const int b = barrier.createGroup(DestSet::of(16, {8, 9, 15}));
     int done_a = 0, done_b = 0;
@@ -173,6 +178,7 @@ TEST(HwBarrier, WorksOnIrregularTopology)
     config.seed = 5;
     Network net(config);
     HwBarrierManager barrier(net);
+    net.attachWorkload(&barrier);
     DestSet members(net.numHosts());
     for (NodeId m : {0, 5, 11, 17, 23})
         members.set(m);
@@ -185,6 +191,48 @@ TEST(HwBarrier, WorksOnIrregularTopology)
     EXPECT_GT(done_at, 0u);
 }
 
+// The manager rides in a WorkloadMix beside open-loop traffic: its
+// rounds finish on the tracker's completion of the release, and its
+// kNoCycle nextArrival lets every NIC sleep once the background stops.
+TEST(HwBarrier, CompletesInAWorkloadMixAndLetsNicsSleep)
+{
+    // Only the fast path sleeps NICs, so pin it against the suite-wide
+    // oracle override (MDW_FAST_PATH=0).
+    const ScopedEnv fastPath("MDW_FAST_PATH", nullptr);
+    NetworkConfig config = barrierNet();
+    config.fastPath = true;
+    Network net(config);
+    HwBarrierManager barrier(net);
+    WorkloadParams bg;
+    bg.pattern = TrafficPattern::UniformUnicast;
+    bg.load = 0.05;
+    bg.payloadFlits = 16;
+    bg.stopCycle = 400;
+    SyntheticTraffic background(net.numHosts(), bg);
+    WorkloadMix mix({&barrier, &background});
+    net.attachWorkload(&mix);
+    net.tracker().setWindow(0, kNoCycle);
+
+    DestSet everyone(net.numHosts());
+    for (NodeId m = 0; m < 16; ++m)
+        everyone.set(m);
+    const int group = barrier.createGroup(everyone);
+    net.sim().run(100);
+    Cycle done_at = 0;
+    barrier.startBarrier(group, [&](Cycle now) { done_at = now; });
+    net.armWatchdog(20000);
+    ASSERT_TRUE(net.sim().runUntil(
+        [&net] { return net.sim().now() >= 400 && net.idle(); },
+        100000));
+    EXPECT_GT(done_at, 100u);
+    EXPECT_EQ(barrier.pendingBarriers(), 0u);
+    EXPECT_GT(net.tracker().unicastLatency().count(), 0u);
+    // Deregistration may lag quiescence by up to one retire stride.
+    net.sim().run(Simulator::kRetireStride + 1);
+    EXPECT_EQ(net.sim().activeCount(), 0u);
+    net.detachWorkload();
+}
+
 TEST(HwBarrier, BeatsTheSoftwareBarrier)
 {
     // Full-system barrier: hardware combining vs the NIC-level
@@ -193,6 +241,7 @@ TEST(HwBarrier, BeatsTheSoftwareBarrier)
     auto hw = [] {
         Network net(barrierNet());
         HwBarrierManager barrier(net);
+        net.attachWorkload(&barrier);
         DestSet everyone(net.numHosts());
         for (NodeId m = 0; m < 16; ++m)
             everyone.set(m);
@@ -234,6 +283,7 @@ TEST(HwBarrierDeath, DoubleStartPanics)
 {
     Network net(barrierNet());
     HwBarrierManager barrier(net);
+    net.attachWorkload(&barrier);
     const int group = barrier.createGroup(DestSet::of(16, {0, 1}));
     barrier.startBarrier(group, nullptr);
     EXPECT_DEATH(barrier.startBarrier(group, nullptr),

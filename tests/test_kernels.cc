@@ -430,14 +430,6 @@ class ProbeWorkload : public Workload
     }
 
     void
-    onDelivered(MsgId msg, NodeId node, Cycle now) override
-    {
-        (void)now;
-        log.push_back("delivered " + std::to_string(msg) + " " +
-                      std::to_string(node));
-    }
-
-    void
     onCompleted(MsgId msg, NodeId src, Cycle now) override
     {
         (void)now;
@@ -471,10 +463,9 @@ TEST(WorkloadMix, HooksFanOutToEveryChild)
     ProbeWorkload a, b;
     WorkloadMix mix({&a, &b});
     mix.onPosted(3, 9, 41, 100);
-    mix.onDelivered(41, 5, 120);
     mix.onCompleted(41, 3, 121);
-    const std::vector<std::string> expected = {
-        "posted 3 9 41", "delivered 41 5", "completed 41 3"};
+    const std::vector<std::string> expected = {"posted 3 9 41",
+                                               "completed 41 3"};
     EXPECT_EQ(a.log, expected);
     EXPECT_EQ(b.log, expected);
     EXPECT_EQ(a.postedAt, 100u);
@@ -512,7 +503,7 @@ TEST(WorkloadMix, ChildWakeReachesTheNicAfterAttach)
     EXPECT_EQ(net.nic(4).stats().packetsDelivered.value(), 1u);
     // The probe also saw the background message's notifications.
     EXPECT_EQ(background.pending(), 0u);
-    EXPECT_EQ(probe.log.size(), 6u);
+    EXPECT_EQ(probe.log.size(), 4u);
 }
 
 // ---------------------------------------------------------------------

@@ -159,6 +159,7 @@ TEST(SwitchActivity, ExactThroughHardwareBarriers)
     config.fatTreeN = 2; // 16 hosts
     Network net(config);
     HwBarrierManager barrier(net);
+    net.attachWorkload(&barrier);
     DestSet everyone(net.numHosts());
     for (NodeId m = 0; m < 16; ++m)
         everyone.set(m);
