@@ -2,12 +2,16 @@
  * @file
  * A5 — Microbenchmark (google-benchmark): simulation speed of whole
  * loaded networks, in simulated cycles per second, for both switch
- * architectures and two system sizes.
+ * architectures and two system sizes; plus the flit-path primitives
+ * underneath them (a loaded link, a credit loop, a central-queue
+ * entry's write/read lifecycle).
  */
 
 #include <benchmark/benchmark.h>
 
 #include "core/presets.hh"
+#include "sim/channel.hh"
+#include "switch/central_queue.hh"
 
 namespace {
 
@@ -50,6 +54,77 @@ BM_InputBufferNetwork(benchmark::State &state)
                static_cast<int>(state.range(0)));
 }
 BENCHMARK(BM_InputBufferNetwork)->Arg(2)->Arg(3);
+
+PacketPtr
+benchPacket(int payloadFlits)
+{
+    PacketDesc proto;
+    proto.id = 1;
+    proto.dests = DestSet::of(4, {1});
+    proto.headerFlits = 2;
+    proto.payloadFlits = payloadFlits;
+    return std::make_shared<const PacketDesc>(std::move(proto));
+}
+
+/** One cycle of a link kept state.range(0) flits deep: send one flit,
+ *  receive the one that arrives. */
+void
+BM_ChannelFlitRoundTrip(benchmark::State &state)
+{
+    const PacketPtr pkt = benchPacket(14);
+    const auto delay = static_cast<Cycle>(state.range(0));
+    Channel<Flit> link("link", delay);
+    Cycle now = 0;
+    for (; now < delay; ++now)
+        link.send(Flit{pkt, 0, 0}, now);
+    for (auto _ : state) {
+        link.send(Flit{pkt, static_cast<int>(now & 15), 0}, now);
+        Flit flit = link.receive(now);
+        benchmark::DoNotOptimize(flit);
+        ++now;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ChannelFlitRoundTrip)->Arg(1)->Arg(8);
+
+/** One cycle of a credit loop state.range(0) grants deep. */
+void
+BM_CreditRoundTrip(benchmark::State &state)
+{
+    const auto delay = static_cast<Cycle>(state.range(0));
+    CreditChannel credits("credits", delay);
+    Cycle now = 0;
+    for (; now < delay; ++now)
+        credits.send(1, now);
+    for (auto _ : state) {
+        credits.send(1, now);
+        benchmark::DoNotOptimize(credits.receive(now));
+        ++now;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CreditRoundTrip)->Arg(1)->Arg(8);
+
+/** Admit a 64-flit packet read by state.range(0) branches, write it
+ *  and read it out chunk by chunk until the entry retires. */
+void
+BM_CentralQueueWriteRead(benchmark::State &state)
+{
+    const PacketPtr pkt = benchPacket(62);
+    const auto readers = static_cast<int>(state.range(0));
+    CentralQueue cq(CqParams{128, 8, 8});
+    for (auto _ : state) {
+        const CentralQueue::EntryId id = cq.addReserved(pkt, readers);
+        for (int written = 0; written < pkt->totalFlits(); written += 8) {
+            cq.write(id, 8);
+            for (int r = 0; r < readers; ++r)
+                benchmark::DoNotOptimize(cq.read(id, r, 8));
+        }
+        benchmark::DoNotOptimize(cq.alive(id));
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CentralQueueWriteRead)->Arg(1)->Arg(4);
 
 } // namespace
 

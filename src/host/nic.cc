@@ -31,6 +31,7 @@ Nic::Nic(std::string name, NodeId id, std::size_t numHosts,
     MDW_ASSERT(params_.lanes >= 1, "NIC %d: lanes must be >= 1", id);
     rxCurrent_.resize(static_cast<std::size_t>(params_.lanes));
     rxArrived_.resize(static_cast<std::size_t>(params_.lanes), 0);
+    txQueue_.resize(static_cast<std::size_t>(params_.lanes));
 }
 
 void
@@ -281,7 +282,10 @@ Nic::enqueueJob(PacketDesc proto)
         return; // dead up-link: nothing can leave this host
     SendJob job;
     job.proto = std::move(proto);
-    txQueue_.push_back(std::move(job));
+    txQueue_[static_cast<std::size_t>(
+                 injectLane(job.proto.trafficClass))]
+        .push_back(std::move(job));
+    ++txQueued_;
     // Every queue entry point funnels through here, so this one wake
     // covers application posts, carrier forwards, barrier tokens, and
     // retransmissions landing on a sleeping NIC.
@@ -339,19 +343,15 @@ Nic::nextWork(Cycle now)
         consider(rxIn_->nextArrival());
     if (source_ != nullptr)
         consider(source_->nextArrival(id_, now + 1));
-    if (!txFailed_ && txOut_ != nullptr && !txQueue_.empty()) {
+    if (!txFailed_ && txOut_ != nullptr && txQueued_ != 0) {
         // Mirror stepTx's gating for each lane's head job: an
         // unprepared or not-yet-ready head has a known wake-up; a
         // ready head only needs stepping while credits allow a send
         // (the credit channel wakes us otherwise).
-        std::vector<bool> seen(static_cast<std::size_t>(params_.lanes),
-                               false);
-        for (const SendJob &job : txQueue_) {
-            const std::size_t lane = static_cast<std::size_t>(
-                injectLane(job.proto.trafficClass));
-            if (seen[lane])
+        for (std::size_t lane = 0; lane < txQueue_.size(); ++lane) {
+            if (txQueue_[lane].empty())
                 continue;
-            seen[lane] = true;
+            const SendJob &job = txQueue_[lane].front();
             if (!job.prepared) {
                 consider(now + 1);
             } else if (now < job.readyAt) {
@@ -449,29 +449,21 @@ Nic::pollSource(Cycle now)
 void
 Nic::stepTx(Cycle now)
 {
-    if (txFailed_ || txQueue_.empty() || !txOut_)
+    if (txFailed_ || txQueued_ == 0 || !txOut_)
         return;
-    // One injection engine per lane: the first queued job of each
-    // lane is that lane's head, and heads prepare (pay the software
-    // send overhead) independently, so a credit-blocked bulk packet
-    // never head-of-line blocks a latency-class one. The physical
-    // link still carries one flit per cycle; higher lanes — the
-    // latency partition — are offered it first, mirroring the
-    // switches' serviceLane order. With one lane every job shares
-    // lane 0 and this is exactly the old single-queue behavior.
-    std::vector<std::deque<SendJob>::iterator> heads(
-        static_cast<std::size_t>(params_.lanes), txQueue_.end());
-    for (auto it = txQueue_.begin(); it != txQueue_.end(); ++it) {
-        const auto lane = static_cast<std::size_t>(
-            injectLane(it->proto.trafficClass));
-        if (heads[lane] == txQueue_.end())
-            heads[lane] = it;
-    }
+    // One injection engine per lane: each lane's front job is that
+    // lane's head, and heads prepare (pay the software send overhead)
+    // independently, so a credit-blocked bulk packet never
+    // head-of-line blocks a latency-class one. The physical link
+    // still carries one flit per cycle; higher lanes — the latency
+    // partition — are offered it first, mirroring the switches'
+    // serviceLane order. With one lane every job shares lane 0 and
+    // this is exactly the single-queue behavior.
     for (int lane = params_.lanes - 1; lane >= 0; --lane) {
-        const auto it = heads[static_cast<std::size_t>(lane)];
-        if (it == txQueue_.end())
+        Ring<SendJob> &queue = txQueue_[static_cast<std::size_t>(lane)];
+        if (queue.empty())
             continue;
-        SendJob &job = *it;
+        SendJob &job = queue.front();
         if (!job.prepared) {
             job.prepared = true;
             job.readyAt = now + params_.sendOverhead;
@@ -499,8 +491,10 @@ Nic::stepTx(Cycle now)
         stats_.flitsInjected.inc();
         if (sim_)
             sim_->noteProgress();
-        if (job.sent == job.pkt->totalFlits())
-            txQueue_.erase(it);
+        if (job.sent == job.pkt->totalFlits()) {
+            queue.pop_front();
+            --txQueued_;
+        }
         return; // the link took its one flit for this cycle
     }
 }
@@ -656,7 +650,9 @@ Nic::failTx()
     // switch's failed input port. Undelivered destinations are
     // written off by the retransmission timeout (or immediately, for
     // messages posted from now on).
-    txQueue_.clear();
+    for (Ring<SendJob> &queue : txQueue_)
+        queue.clear();
+    txQueued_ = 0;
     if (sim_ != nullptr)
         requestWake(sim_->now());
 }
@@ -679,8 +675,8 @@ Nic::quiescent(std::string *why) const
             *why += name() + ": " + what + "; ";
         return false;
     };
-    if (!txFailed_ && !txQueue_.empty())
-        return complain(std::to_string(txQueue_.size()) +
+    if (!txFailed_ && txQueued_ != 0)
+        return complain(std::to_string(txQueued_) +
                         " packet(s) still queued for injection");
     for (const PacketPtr &current : rxCurrent_) {
         if (current)

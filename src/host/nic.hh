@@ -18,7 +18,6 @@
 #ifndef MDW_HOST_NIC_HH
 #define MDW_HOST_NIC_HH
 
-#include <deque>
 #include <map>
 #include <unordered_map>
 #include <unordered_set>
@@ -30,6 +29,7 @@
 #include "message/flit.hh"
 #include "sim/channel.hh"
 #include "sim/component.hh"
+#include "sim/ring.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
 #include "switch/switch_base.hh"
@@ -188,7 +188,7 @@ class Nic : public Component
     void attachTelemetry(Telemetry &telemetry);
 
     /** Packets waiting to be injected (saturation indicator). */
-    std::size_t txBacklog() const { return txQueue_.size(); }
+    std::size_t txBacklog() const { return txQueued_; }
 
     // --- Fault-injection hooks (resilience layer) ------------------
 
@@ -287,7 +287,11 @@ class Nic : public Component
     /** Per-lane credits toward the switch input FIFOs. */
     std::vector<int> txCredits_;
     bool txMcastWholePacket_ = false;
-    std::deque<SendJob> txQueue_;
+    /** Injection queue per lane (indexed by injectLane()); each
+     *  lane's front job is its injection engine's head. */
+    std::vector<Ring<SendJob>> txQueue_;
+    /** Jobs queued over every lane. */
+    std::size_t txQueued_ = 0;
 
     // Ejection side. Reassembly is per lane: the switch interleaves
     // packets of different lanes on the physical ejection link.

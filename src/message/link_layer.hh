@@ -45,7 +45,6 @@
 #define MDW_MESSAGE_LINK_LAYER_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 #include <unordered_set>
@@ -54,6 +53,7 @@
 #include "message/flit.hh"
 #include "sim/channel.hh"
 #include "sim/fault.hh"
+#include "sim/ring.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
 #include "sim/telemetry.hh"
@@ -170,7 +170,7 @@ class LinkLayer : public ChannelHook<Flit>
     std::vector<bool> flapTraced_;
 
     /** Ack-return cycles of unacked flits, oldest first. */
-    std::deque<Cycle> window_;
+    Ring<Cycle> window_;
     /** Wire slot of the last successful departure. */
     Cycle lastDepart_ = kNoCycle;
     std::uint32_t txNextSeq_ = 0;

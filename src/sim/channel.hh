@@ -15,7 +15,6 @@
 #ifndef MDW_SIM_CHANNEL_HH
 #define MDW_SIM_CHANNEL_HH
 
-#include <deque>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,6 +22,7 @@
 #include "sim/boundary.hh"
 #include "sim/component.hh"
 #include "sim/logging.hh"
+#include "sim/ring.hh"
 #include "sim/types.hh"
 
 namespace mdw {
@@ -255,7 +255,7 @@ class Channel : public BoundaryChannel
 
     std::string name_;
     Cycle delay_;
-    std::deque<Entry> queue_;
+    Ring<Entry> queue_;
     Cycle lastSend_ = 0;
     bool sentYet_ = false;
     std::uint64_t totalSends_ = 0;
@@ -343,7 +343,7 @@ class CreditChannel : public BoundaryChannel
 
     std::string name_;
     Cycle delay_;
-    std::deque<Entry> queue_;
+    Ring<Entry> queue_;
     int inFlight_ = 0;
     std::uint64_t totalSends_ = 0;
     Component *sink_ = nullptr;

@@ -322,7 +322,7 @@ void
 CentralBufferSwitch::processBarrierEmissions(Cycle now)
 {
     while (!barrierEmissions_.empty()) {
-        const BarrierUnit::Emit &emit = barrierEmissions_.front();
+        const BarrierUnit::Emit emit = barrierEmissions_.front();
         if (emit.release) {
             // Originate the release multidestination worm. The root
             // stage down-reaches every member, so this is an ordinary
@@ -654,8 +654,13 @@ CentralBufferSwitch::activateStreams()
             output.sentSeq = 0;
             // The current stream may trickle through the escape
             // chunk when the shared pool is exhausted.
-            if (cq_.alive(output.current.entry))
-                cq_.grantEscape(output.current.entry);
+            // A queued branch has read nothing yet, so its entry
+            // cannot have retired (and its id cannot be reissued).
+            MDW_ASSERT(cq_.alive(output.current.entry),
+                       "switch %d output %zu: queued stream's entry %d "
+                       "retired before it was read",
+                       id_, o, output.current.entry);
+            cq_.grantEscape(output.current.entry);
         }
     }
 }

@@ -23,8 +23,6 @@
 #define MDW_SWITCH_CENTRAL_BUFFER_SWITCH_HH
 
 #include <cstdio>
-#include <deque>
-
 #include <functional>
 #include <memory>
 
@@ -168,7 +166,7 @@ class CentralBufferSwitch : public SwitchBase
         int readSeq = 0;
         /** Flits of the current stream sent downstream. */
         int sentSeq = 0;
-        std::deque<QueueItem> queue;
+        Ring<QueueItem> queue;
 
         bool idle() const { return mode == Mode::Idle; }
     };
@@ -212,7 +210,7 @@ class CentralBufferSwitch : public SwitchBase
     BarrierUnit barrier_;
     MakePacket makePacket_;
     ReleaseFactory releaseFactory_;
-    std::deque<BarrierUnit::Emit> barrierEmissions_;
+    Ring<BarrierUnit::Emit> barrierEmissions_;
     Counter barrierTokens_;
     /** laneIdx-flattened: (port, lane) for ports 0..radix. */
     std::vector<InputState> inputs_;

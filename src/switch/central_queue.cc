@@ -40,15 +40,9 @@ CentralQueue::addReserved(PacketPtr pkt, int readers)
                "reservation of %d chunks with only %d free (check "
                "canReserve first)",
                need, freeChunks());
-    Entry entry;
-    entry.total = pkt->totalFlits();
-    entry.pkt = std::move(pkt);
-    entry.reserved = true;
-    entry.sharedChunks = need;
-    entry.readerPos.assign(static_cast<std::size_t>(readers), 0);
+    const EntryId id = admit(std::move(pkt), readers, true);
+    entries_[static_cast<std::size_t>(id)].sharedChunks = need;
     usedShared_ += need;
-    const EntryId id = nextId_++;
-    entries_.emplace(id, std::move(entry));
     return id;
 }
 
@@ -57,13 +51,31 @@ CentralQueue::addUnreserved(PacketPtr pkt, int readers)
 {
     MDW_ASSERT(pkt != nullptr, "null packet");
     MDW_ASSERT(readers >= 1, "entry needs at least one reader");
-    Entry entry;
+    return admit(std::move(pkt), readers, false);
+}
+
+CentralQueue::EntryId
+CentralQueue::admit(PacketPtr pkt, int readers, bool reserved)
+{
+    EntryId id;
+    if (freeIds_.empty()) {
+        id = static_cast<EntryId>(entries_.size());
+        entries_.emplace_back();
+    } else {
+        id = freeIds_.back();
+        freeIds_.pop_back();
+    }
+    Entry &entry = entries_[static_cast<std::size_t>(id)];
+    // Start from a fresh entry but keep the reader vector's storage.
+    std::vector<int> readerPos = std::move(entry.readerPos);
+    readerPos.assign(static_cast<std::size_t>(readers), 0);
+    entry = Entry{};
+    entry.live = true;
     entry.total = pkt->totalFlits();
     entry.pkt = std::move(pkt);
-    entry.reserved = false;
-    entry.readerPos.assign(static_cast<std::size_t>(readers), 0);
-    const EntryId id = nextId_++;
-    entries_.emplace(id, std::move(entry));
+    entry.reserved = reserved;
+    entry.readerPos = std::move(readerPos);
+    ++liveEntries_;
     return id;
 }
 
@@ -78,19 +90,15 @@ CentralQueue::grantEscape(EntryId id)
 CentralQueue::Entry &
 CentralQueue::get(EntryId id)
 {
-    auto it = entries_.find(id);
-    MDW_ASSERT(it != entries_.end(), "central-queue entry %d not found",
-               id);
-    return it->second;
+    MDW_ASSERT(alive(id), "central-queue entry %d not found", id);
+    return entries_[static_cast<std::size_t>(id)];
 }
 
 const CentralQueue::Entry &
 CentralQueue::get(EntryId id) const
 {
-    auto it = entries_.find(id);
-    MDW_ASSERT(it != entries_.end(), "central-queue entry %d not found",
-               id);
-    return it->second;
+    MDW_ASSERT(alive(id), "central-queue entry %d not found", id);
+    return entries_[static_cast<std::size_t>(id)];
 }
 
 int
@@ -214,14 +222,18 @@ CentralQueue::recycle(EntryId id, Entry &entry)
         MDW_ASSERT(entry.heldChunks() == 0,
                    "entry completed with %d chunks still charged",
                    entry.heldChunks());
-        entries_.erase(id);
+        entry.live = false;
+        entry.pkt = nullptr;
+        freeIds_.push_back(id);
+        --liveEntries_;
     }
 }
 
 bool
 CentralQueue::alive(EntryId id) const
 {
-    return entries_.count(id) > 0;
+    return id >= 0 && static_cast<std::size_t>(id) < entries_.size() &&
+           entries_[static_cast<std::size_t>(id)].live;
 }
 
 const PacketPtr &

@@ -32,7 +32,7 @@
 #ifndef MDW_SWITCH_CENTRAL_QUEUE_HH
 #define MDW_SWITCH_CENTRAL_QUEUE_HH
 
-#include <unordered_map>
+#include <vector>
 
 #include "message/packet.hh"
 
@@ -66,7 +66,12 @@ struct CqParams
     int upPhaseHeadroom = 0;
 };
 
-/** Chunked, reference-counted shared packet store. */
+/**
+ * Chunked, reference-counted shared packet store. Entries live in a
+ * slot vector indexed by EntryId; a retired entry's id goes on a
+ * free list and is reissued to a later packet, so a steady-state
+ * add/retire loop allocates nothing.
+ */
 class CentralQueue
 {
   public:
@@ -133,7 +138,8 @@ class CentralQueue
      */
     int read(EntryId id, int reader, int maxN);
 
-    /** True while the entry exists (not yet fully consumed). */
+    /** True while the entry exists (not yet fully consumed). Ids
+     *  are recycled: once false, @p id may be reissued. */
     bool alive(EntryId id) const;
 
     const PacketPtr &packet(EntryId id) const;
@@ -149,11 +155,12 @@ class CentralQueue
     }
     int capacityChunks() const { return params_.chunks; }
     /** Number of resident packets. */
-    std::size_t entryCount() const { return entries_.size(); }
+    std::size_t entryCount() const { return liveEntries_; }
 
   private:
     struct Entry
     {
+        bool live = false;
         PacketPtr pkt;
         int total = 0;
         int written = 0;
@@ -164,11 +171,15 @@ class CentralQueue
         /** Chunks charged to the escape reserve (0 or 1). */
         int escapeChunks = 0;
         int freedChunks = 0;
+        /** Per-reader progress; keeps its capacity across reuse. */
         std::vector<int> readerPos;
 
         int heldChunks() const { return sharedChunks + escapeChunks; }
     };
 
+    /** Claim a slot (a free one first) for @p pkt with @p readers
+     *  readers, every field reset. */
+    EntryId admit(PacketPtr pkt, int readers, bool reserved);
     Entry &get(EntryId id);
     const Entry &get(EntryId id) const;
     void recycle(EntryId id, Entry &entry);
@@ -176,8 +187,11 @@ class CentralQueue
     CqParams params_;
     int usedShared_ = 0;
     int usedEscape_ = 0;
-    EntryId nextId_ = 1;
-    std::unordered_map<EntryId, Entry> entries_;
+    /** Slots indexed by EntryId, live or free. */
+    std::vector<Entry> entries_;
+    /** Ids of free slots, reissued last-retired first. */
+    std::vector<EntryId> freeIds_;
+    std::size_t liveEntries_ = 0;
 };
 
 } // namespace mdw

@@ -26,8 +26,7 @@ SwitchBase::SwitchBase(std::string name, SwitchId id,
       params_(params), inputFlits_(inputFlits),
       ins_(static_cast<std::size_t>(routing->radix())),
       fifos_(static_cast<std::size_t>(routing->radix()) *
-                 static_cast<std::size_t>(params.lanes),
-             InputFifo{{}, inputFlits}),
+             static_cast<std::size_t>(params.lanes)),
       held_(fifos_.size()),
       outs_(static_cast<std::size_t>(routing->radix())),
       portTx_(static_cast<std::size_t>(routing->radix())),
@@ -39,6 +38,8 @@ SwitchBase::SwitchBase(std::string name, SwitchId id,
     MDW_ASSERT(params.lanes >= 1, "switch %d with %d lanes", id,
                params.lanes);
     MDW_ASSERT(inputFlits > 0, "switch %d input FIFO must be > 0", id);
+    for (InputFifo &fifo : fifos_)
+        fifo.freeSlots = inputFlits;
 }
 
 void

@@ -12,7 +12,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 #include <unordered_set>
@@ -21,6 +20,7 @@
 #include "message/flit.hh"
 #include "sim/channel.hh"
 #include "sim/component.hh"
+#include "sim/ring.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
 #include "sim/telemetry.hh"
@@ -340,7 +340,7 @@ class SwitchBase : public Component
      */
     struct InputFifo
     {
-        std::deque<PacketRecord> packets;
+        Ring<PacketRecord> packets;
         int freeSlots = 0;
     };
 

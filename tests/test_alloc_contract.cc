@@ -1,0 +1,291 @@
+/**
+ * @file
+ * Allocation contract of the flit path: once queues have reached
+ * their working depth, moving flits over links, through the central
+ * queue and out of a NIC allocates nothing.
+ *
+ * This file replaces the global operator new/delete of the test
+ * binary with malloc-backed versions that count allocations (a
+ * relaxed atomic, so the suite stays clean under the thread
+ * sanitizer). Packets are built before each counting window: the
+ * contract covers the per-flit and per-entry work, not packet
+ * construction.
+ */
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+
+#include "host/mcast_tracker.hh"
+#include "host/nic.hh"
+#include "message/flit.hh"
+#include "sim/channel.hh"
+#include "switch/central_queue.hh"
+
+namespace {
+
+std::atomic<std::uint64_t> allocations{0};
+
+void *
+countedAlloc(std::size_t size, std::size_t align = 0)
+{
+    allocations.fetch_add(1, std::memory_order_relaxed);
+    if (size == 0)
+        size = 1;
+    void *p = align == 0
+                  ? std::malloc(size)
+                  : std::aligned_alloc(align,
+                                       (size + align - 1) / align * align);
+    if (p == nullptr)
+        throw std::bad_alloc();
+    return p;
+}
+
+void *
+countedAllocNoThrow(std::size_t size, std::size_t align = 0) noexcept
+{
+    try {
+        return countedAlloc(size, align);
+    } catch (const std::bad_alloc &) {
+        return nullptr;
+    }
+}
+
+std::uint64_t
+allocationCount()
+{
+    return allocations.load(std::memory_order_relaxed);
+}
+
+} // namespace
+
+// Every form is replaced, so all memory the binary allocates through
+// operator new comes from malloc and goes back through free.
+void *operator new(std::size_t n) { return countedAlloc(n); }
+void *operator new[](std::size_t n) { return countedAlloc(n); }
+void *
+operator new(std::size_t n, std::align_val_t a)
+{
+    return countedAlloc(n, static_cast<std::size_t>(a));
+}
+void *
+operator new[](std::size_t n, std::align_val_t a)
+{
+    return countedAlloc(n, static_cast<std::size_t>(a));
+}
+void *
+operator new(std::size_t n, const std::nothrow_t &) noexcept
+{
+    return countedAllocNoThrow(n);
+}
+void *
+operator new[](std::size_t n, const std::nothrow_t &) noexcept
+{
+    return countedAllocNoThrow(n);
+}
+void *
+operator new(std::size_t n, std::align_val_t a,
+             const std::nothrow_t &) noexcept
+{
+    return countedAllocNoThrow(n, static_cast<std::size_t>(a));
+}
+void *
+operator new[](std::size_t n, std::align_val_t a,
+               const std::nothrow_t &) noexcept
+{
+    return countedAllocNoThrow(n, static_cast<std::size_t>(a));
+}
+void operator delete(void *p) noexcept { std::free(p); }
+void operator delete[](void *p) noexcept { std::free(p); }
+void operator delete(void *p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
+void operator delete(void *p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void *p, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+void
+operator delete(void *p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+void
+operator delete[](void *p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+void
+operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+void
+operator delete[](void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+void
+operator delete(void *p, std::align_val_t, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+void
+operator delete[](void *p, std::align_val_t,
+                  const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+
+namespace mdw {
+namespace {
+
+constexpr Cycle kWarmup = 200;
+constexpr Cycle kWindow = 2000;
+
+PacketPtr
+makePkt(PacketFactory &factory, int payload)
+{
+    PacketDesc proto;
+    proto.src = 0;
+    proto.dests = DestSet::of(4, {1});
+    proto.kind = PacketKind::Unicast;
+    proto.headerFlits = 2;
+    proto.payloadFlits = payload;
+    return factory.make(std::move(proto));
+}
+
+TEST(AllocContract, CountingOperatorNewSeesAllocations)
+{
+    const std::uint64_t before = allocationCount();
+    auto owned = std::make_unique<int>(1);
+    EXPECT_EQ(allocationCount() - before, 1u);
+    EXPECT_EQ(*owned, 1);
+}
+
+TEST(AllocContract, LoadedLinkAndCreditLoopAllocateNothing)
+{
+    // A sender with an 8-flit window streams flits over a 3-cycle
+    // link; the receiver consumes each arrival and returns a credit
+    // over a 2-cycle reverse wire, so both queues stay several deep.
+    PacketFactory factory;
+    const PacketPtr pkt = makePkt(factory, 62);
+    Channel<Flit> link("link", 3);
+    CreditChannel credits("credits", 2);
+    int window = 8;
+    std::uint64_t received = 0;
+    const auto cycle = [&](Cycle now) {
+        window += credits.receive(now);
+        if (window > 0) {
+            link.send(Flit{pkt, static_cast<int>(now % 64), 0}, now);
+            --window;
+        }
+        if (link.peek(now) != nullptr) {
+            (void)link.receive(now);
+            ++received;
+            credits.send(1, now);
+        }
+    };
+    for (Cycle now = 0; now < kWarmup; ++now)
+        cycle(now);
+
+    const std::uint64_t before = allocationCount();
+    const std::uint64_t receivedBefore = received;
+    for (Cycle now = kWarmup; now < kWarmup + kWindow; ++now)
+        cycle(now);
+    const std::uint64_t allocated = allocationCount() - before;
+
+    EXPECT_EQ(allocated, 0u);
+    EXPECT_GT(received - receivedBefore, kWindow / 2);
+    EXPECT_GT(link.inFlight(), 1u);
+}
+
+TEST(AllocContract, CentralQueueEntryLoopAllocatesNothing)
+{
+    PacketFactory factory;
+    const PacketPtr pkt = makePkt(factory, 22);
+    CentralQueue cq(CqParams{16, 8, 2});
+    std::uint64_t retired = 0;
+    // One multicast-style reserved entry read by two branches, then
+    // one unreserved unicast entry cut through chunk by chunk.
+    const auto round = [&]() {
+        const CentralQueue::EntryId mc = cq.addReserved(pkt, 2);
+        cq.write(mc, pkt->totalFlits());
+        while (cq.read(mc, 0, 8) > 0) {
+        }
+        while (cq.alive(mc) && cq.read(mc, 1, 8) > 0) {
+        }
+        retired += cq.alive(mc) ? 0 : 1;
+
+        const CentralQueue::EntryId uc = cq.addUnreserved(pkt);
+        cq.grantEscape(uc);
+        while (cq.alive(uc)) {
+            const int n = cq.writable(uc);
+            if (n > 0)
+                cq.write(uc, std::min(n, 8));
+            (void)cq.read(uc, 0, 8);
+        }
+        ++retired;
+    };
+    for (Cycle i = 0; i < kWarmup; ++i)
+        round();
+
+    const std::uint64_t before = allocationCount();
+    for (Cycle i = 0; i < kWindow; ++i)
+        round();
+    const std::uint64_t allocated = allocationCount() - before;
+
+    EXPECT_EQ(allocated, 0u);
+    EXPECT_EQ(retired, 2 * (kWarmup + kWindow));
+    EXPECT_EQ(cq.entryCount(), 0u);
+    EXPECT_EQ(cq.usedChunks(), 0);
+}
+
+TEST(AllocContract, NicInjectingBacklogAllocatesNothing)
+{
+    // A two-lane NIC with long messages queued on both lanes streams
+    // its head packets' flits into a credit loop. Three credits per
+    // lane do not cover the round trip, so the latency lane stalls
+    // every fourth cycle and the bulk lane fills in. The window ends
+    // before a queued job becomes head and builds its packet.
+    PacketFactory factory;
+    McastTracker tracker;
+    NicParams params;
+    params.sendOverhead = 0;
+    params.lanes = 2;
+    Nic nic("nic", 0, 4, params, &factory, &tracker);
+    Channel<Flit> link("link", 2);
+    CreditChannel credits("credits", 2);
+    nic.connectTx(&link, &credits, ReceivePolicy{3, false});
+    for (NodeId dest = 1; dest <= 3; ++dest)
+        nic.postUnicast(dest, 250, 0);
+    nic.postUnicast(1, 250, 0, 0, 1); // latency lane
+
+    const auto cycle = [&](Cycle now) {
+        nic.step(now);
+        (void)nic.nextWork(now);
+        if (link.peek(now) != nullptr)
+            credits.send(1, now, link.receive(now).lane);
+    };
+    Cycle now = 0;
+    for (; now < 20; ++now)
+        cycle(now);
+    ASSERT_EQ(nic.stats().packetsInjected.value(), 2u);
+
+    const std::uint64_t before = allocationCount();
+    const std::uint64_t flitsBefore = nic.stats().flitsInjected.value();
+    for (const Cycle end = now + 200; now < end; ++now)
+        cycle(now);
+    const std::uint64_t allocated = allocationCount() - before;
+
+    EXPECT_EQ(allocated, 0u);
+    EXPECT_GT(nic.stats().flitsInjected.value() - flitsBefore, 100u);
+    EXPECT_EQ(nic.stats().packetsInjected.value(), 2u);
+    EXPECT_EQ(nic.txBacklog(), 4u);
+}
+
+} // namespace
+} // namespace mdw

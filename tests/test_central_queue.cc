@@ -214,6 +214,39 @@ TEST(CentralQueue, EscapeReserveBoundsOutstandingEscapes)
     EXPECT_EQ(cq.writable(b), 8); // recycled escape chunk available
 }
 
+TEST(CentralQueue, RetiredSlotIsReusedFresh)
+{
+    // 16 chunks, 2 in the escape reserve: the shared pool holds 14.
+    CentralQueue cq(CqParams{16, 8, 2});
+    const auto old = cq.addUnreserved(makePkt(2, 22), 2); // 24 flits
+    cq.grantEscape(old);
+    cq.write(old, 24);
+    EXPECT_EQ(cq.read(old, 0, 24), 24);
+    EXPECT_EQ(cq.read(old, 1, 24), 24);
+    EXPECT_FALSE(cq.alive(old));
+
+    // The retired id is reissued with none of the old entry's state.
+    const auto id = cq.addUnreserved(makePkt(2, 22), 2);
+    EXPECT_EQ(id, old);
+    EXPECT_TRUE(cq.alive(id));
+    EXPECT_EQ(cq.written(id), 0);
+    EXPECT_EQ(cq.entryCount(), 1u);
+
+    // No escape rights: with the shared pool gone it cannot write
+    // until it is granted them again.
+    const auto hog = cq.addReserved(makePkt(2, 110, 2), 1); // 14 chunks
+    EXPECT_NE(hog, id);
+    EXPECT_EQ(cq.freeChunks(), 0);
+    EXPECT_EQ(cq.writable(id), 0);
+    cq.grantEscape(id);
+    EXPECT_EQ(cq.writable(id), 8);
+
+    // Both readers start from zero progress.
+    cq.write(id, 8);
+    EXPECT_EQ(cq.readable(id, 0), 8);
+    EXPECT_EQ(cq.readable(id, 1), 8);
+}
+
 TEST(CentralQueue, ReservedEntriesIgnoreEscape)
 {
     CentralQueue cq(CqParams{8, 8, 2});
