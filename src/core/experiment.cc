@@ -13,43 +13,41 @@ namespace mdw {
 namespace {
 
 /**
- * Start the result of a finished run: the metrics snapshot, the end
- * backlog and the latency percentiles. Every measurement is captured
- * *before* finishResult()'s quiescence settle advances the clock: the
- * snapshot reads live gauges (time averages, event totals) whose
- * values depend on `now`.
+ * Start the result of a finished run: the metrics snapshot plus the
+ * experiment's own figures -- @p deliveredLoad, the end backlog, the
+ * latency percentiles, and link utilization from @p txFlits (per-port
+ * flits sent during a window of @p window cycles). Every measurement
+ * is captured *before* finishResult()'s quiescence settle advances the
+ * clock: the snapshot reads live gauges (time averages, event totals)
+ * whose values depend on `now`.
  */
 void
-captureMetrics(Network &net, ExperimentResult &result)
+captureMetrics(Network &net, ExperimentResult &result,
+               double deliveredLoad,
+               const std::vector<std::uint64_t> &txFlits, Cycle window)
 {
-    result.metrics = net.metricsSnapshot();
-    result.metrics.setCounter("experiment.end_backlog_packets",
-                              net.totalTxBacklog());
+    // The "experiment." names sort before every component's, and an
+    // insertion into the sorted snapshot moves every entry after it:
+    // collect them apart and merge them in with one pass.
+    MetricsSnapshot own;
+    own.setGauge("experiment.delivered_load", deliveredLoad);
+    own.setCounter("experiment.end_backlog_packets",
+                   net.totalTxBacklog());
 
     const McastTracker &tracker = net.tracker();
-    result.metrics.setGauge("experiment.latency.unicast.p95",
-                            tracker.unicastHist().percentile(0.95));
-    result.metrics.setGauge("experiment.latency.unicast.p99",
-                            tracker.unicastHist().percentile(0.99));
-    result.metrics.setGauge("experiment.latency.unicast.p999",
-                            tracker.unicastHist().percentile(0.999));
-    result.metrics.setGauge("experiment.latency.mcast_last.p95",
-                            tracker.mcastLastHist().percentile(0.95));
-    result.metrics.setGauge("experiment.latency.mcast_last.p99",
-                            tracker.mcastLastHist().percentile(0.99));
-    result.metrics.setGauge("experiment.latency.mcast_last.p999",
-                            tracker.mcastLastHist().percentile(0.999));
-}
+    own.setGauge("experiment.latency.unicast.p95",
+                 tracker.unicastHist().percentile(0.95));
+    own.setGauge("experiment.latency.unicast.p99",
+                 tracker.unicastHist().percentile(0.99));
+    own.setGauge("experiment.latency.unicast.p999",
+                 tracker.unicastHist().percentile(0.999));
+    own.setGauge("experiment.latency.mcast_last.p95",
+                 tracker.mcastLastHist().percentile(0.95));
+    own.setGauge("experiment.latency.mcast_last.p99",
+                 tracker.mcastLastHist().percentile(0.99));
+    own.setGauge("experiment.latency.mcast_last.p999",
+                 tracker.mcastLastHist().percentile(0.999));
 
-/**
- * Finish the result: link utilization from @p txFlits (per-port flits
- * sent during a window of @p window cycles), the trace snapshot, the
- * quiescence audit and the sharded scheduler's diagnostics.
- */
-void
-finishResult(Network &net, ExperimentResult &result,
-             const std::vector<std::uint64_t> &txFlits, Cycle window)
-{
     double mean_util = 0.0, peak_util = 0.0;
     if (!txFlits.empty() && window > 0) {
         double sum = 0.0;
@@ -61,9 +59,20 @@ finishResult(Network &net, ExperimentResult &result,
         }
         mean_util = sum / static_cast<double>(txFlits.size());
     }
-    result.metrics.setGauge("experiment.link_util.mean", mean_util);
-    result.metrics.setGauge("experiment.link_util.max", peak_util);
+    own.setGauge("experiment.link_util.mean", mean_util);
+    own.setGauge("experiment.link_util.max", peak_util);
 
+    result.metrics = net.metricsSnapshot();
+    result.metrics.merge(own);
+}
+
+/**
+ * Finish the result: the trace snapshot, the quiescence audit and the
+ * sharded scheduler's diagnostics.
+ */
+void
+finishResult(Network &net, ExperimentResult &result)
+{
     if (net.telemetry().tracer())
         result.trace =
             std::make_shared<const WormTrace>(net.traceSnapshot());
@@ -153,21 +162,20 @@ Experiment::run()
 
     result.deadlocked = net.sim().deadlockDetected();
     result.cyclesRun = net.sim().now();
-    captureMetrics(net, result);
 
     const double node_cycles = static_cast<double>(net.numHosts()) *
                                static_cast<double>(params_.measure);
     const double delivered_load =
         static_cast<double>(net.tracker().windowDeliveredFlits()) /
         node_cycles;
-    result.metrics.setGauge("experiment.delivered_load",
-                            delivered_load);
+    captureMetrics(net, result, delivered_load, tx_window,
+                   params_.measure);
     result.saturated =
         result.deadlocked || !result.drained ||
         delivered_load <
             params_.saturationRatio * result.expectedDelivered;
 
-    finishResult(net, result, tx_window, params_.measure);
+    finishResult(net, result);
     return result;
 }
 
@@ -213,18 +221,19 @@ Experiment::runClosedLoop(Network &net)
         params_.drainLimit);
     result.deadlocked = net.sim().deadlockDetected();
     result.cyclesRun = net.sim().now();
-    captureMetrics(net, result);
 
     const McastTracker &tracker = net.tracker();
     const double node_cycles =
         static_cast<double>(net.numHosts()) *
         static_cast<double>(result.cyclesRun);
-    result.metrics.setGauge(
-        "experiment.delivered_load",
+    // Whole-run link utilization (no measurement sub-window).
+    captureMetrics(
+        net, result,
         node_cycles > 0.0
             ? static_cast<double>(tracker.windowDeliveredFlits()) /
                   node_cycles
-            : 0.0);
+            : 0.0,
+        net.portTxSnapshot(), result.cyclesRun);
     result.saturated = result.deadlocked || !result.drained;
 
     // Closed-loop accounting: on a drained run every injected message
@@ -244,8 +253,7 @@ Experiment::runClosedLoop(Network &net)
                                   kernels->roundsCompleted());
     }
 
-    // Whole-run link utilization (no measurement sub-window).
-    finishResult(net, result, net.portTxSnapshot(), result.cyclesRun);
+    finishResult(net, result);
     // The workload dies with this scope; the network must not retain
     // hooks into it.
     net.detachWorkload();

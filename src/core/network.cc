@@ -151,10 +151,12 @@ Network::installLinkLayers(double ber, double residual,
             layer->setEscalation([this, sw, port](Cycle when) {
                 resilience_->escalateLink(sw, port, when);
             });
-            layer->attachTelemetry(telemetry_,
-                                   "link." + std::to_string(sw) +
-                                       ".p" + std::to_string(port) +
-                                       ".");
+            MetricsRegistry &reg = telemetry_.registry();
+            layer->attachTelemetry(
+                telemetry_,
+                reg.scope("p", static_cast<std::uint32_t>(port),
+                          reg.scope("link.",
+                                    static_cast<std::uint32_t>(sw))));
             ch->setHook(layer.get());
             linkLayers_.push_back(std::move(layer));
             return linkLayers_.back().get();
@@ -165,49 +167,50 @@ Network::installLinkLayers(double ber, double residual,
 
     // Fabric-wide rollups (per-direction counters registered above).
     MetricsRegistry &reg = telemetry_.registry();
-    reg.registerIntGauge("network.link.corrupted", [this] {
+    constexpr MetricsRegistry::ScopeId top = MetricsRegistry::kRoot;
+    reg.registerIntGauge(top, "network.link.corrupted", [this] {
         std::uint64_t total = 0;
         for (const auto &l : linkLayers_)
             total += l->stats().corrupted.value();
         return total;
     });
-    reg.registerIntGauge("network.link.naks", [this] {
+    reg.registerIntGauge(top, "network.link.naks", [this] {
         std::uint64_t total = 0;
         for (const auto &l : linkLayers_)
             total += l->stats().naks.value();
         return total;
     });
-    reg.registerIntGauge("network.link.replays", [this] {
+    reg.registerIntGauge(top, "network.link.replays", [this] {
         std::uint64_t total = 0;
         for (const auto &l : linkLayers_)
             total += l->stats().replays.value();
         return total;
     });
-    reg.registerIntGauge("network.link.timeouts", [this] {
+    reg.registerIntGauge(top, "network.link.timeouts", [this] {
         std::uint64_t total = 0;
         for (const auto &l : linkLayers_)
             total += l->stats().timeouts.value();
         return total;
     });
-    reg.registerIntGauge("network.link.residual_errors", [this] {
+    reg.registerIntGauge(top, "network.link.residual_errors", [this] {
         std::uint64_t total = 0;
         for (const auto &l : linkLayers_)
             total += l->stats().residualErrors.value();
         return total;
     });
-    reg.registerIntGauge("network.link.dropped", [this] {
+    reg.registerIntGauge(top, "network.link.dropped", [this] {
         std::uint64_t total = 0;
         for (const auto &l : linkLayers_)
             total += l->stats().dropped.value();
         return total;
     });
-    reg.registerIntGauge("network.link.replay_stall_cycles", [this] {
+    reg.registerIntGauge(top, "network.link.replay_stall_cycles", [this] {
         std::uint64_t total = 0;
         for (const auto &l : linkLayers_)
             total += l->stats().replayStallCycles.value();
         return total;
     });
-    reg.registerIntGauge("fault.link_escalations", [this] {
+    reg.registerIntGauge(top, "fault.link_escalations", [this] {
         return resilience_ ? resilience_->linkEscalations() : 0;
     });
 }
@@ -553,58 +556,62 @@ Network::registerTelemetry()
         nic->attachTelemetry(telemetry_);
 
     MetricsRegistry &reg = telemetry_.registry();
+    constexpr MetricsRegistry::ScopeId top = MetricsRegistry::kRoot;
+    // Time averages (switch lane and central-queue occupancy) are read
+    // at the snapshot's cycle.
+    reg.setClock([this] { return sim_.now(); });
 
     // End-to-end tracker: the paper's latency metrics plus delivery
     // accounting.
-    reg.registerSampler("tracker.latency.unicast",
+    reg.registerSampler(top, "tracker.latency.unicast",
                         &tracker_.unicastLatency());
-    reg.registerSampler("tracker.latency.mcast_last",
+    reg.registerSampler(top, "tracker.latency.mcast_last",
                         &tracker_.mcastLastLatency());
-    reg.registerSampler("tracker.latency.mcast_avg",
+    reg.registerSampler(top, "tracker.latency.mcast_avg",
                         &tracker_.mcastAvgLatency());
-    reg.registerIntGauge("tracker.deliveries", [this] {
+    reg.registerIntGauge(top, "tracker.deliveries", [this] {
         return tracker_.totalDeliveries();
     });
-    reg.registerIntGauge("tracker.completed", [this] {
+    reg.registerIntGauge(top, "tracker.completed", [this] {
         return tracker_.totalCompleted();
     });
-    reg.registerIntGauge("tracker.window_delivered_flits", [this] {
+    reg.registerIntGauge(top, "tracker.window_delivered_flits", [this] {
         return tracker_.windowDeliveredFlits();
     });
-    reg.registerIntGauge("tracker.duplicate_deliveries", [this] {
+    reg.registerIntGauge(top, "tracker.duplicate_deliveries", [this] {
         return tracker_.duplicateDeliveries();
     });
-    reg.registerIntGauge("tracker.partial_completed", [this] {
+    reg.registerIntGauge(top, "tracker.partial_completed", [this] {
         return tracker_.partialCompleted();
     });
-    reg.registerIntGauge("tracker.unreachable_dests", [this] {
+    reg.registerIntGauge(top, "tracker.unreachable_dests", [this] {
         return tracker_.unreachableDests();
     });
 
     // Fabric-wide rollups of the per-switch counters.
-    reg.registerIntGauge("network.flits_in",
+    reg.registerIntGauge(top, "network.flits_in",
                          [this] { return totals().flitsIn; });
-    reg.registerIntGauge("network.flits_out",
+    reg.registerIntGauge(top, "network.flits_out",
                          [this] { return totals().flitsOut; });
-    reg.registerIntGauge("network.packets_routed",
+    reg.registerIntGauge(top, "network.packets_routed",
                          [this] { return totals().packetsRouted; });
-    reg.registerIntGauge("network.replications",
+    reg.registerIntGauge(top, "network.replications",
                          [this] { return totals().replications; });
-    reg.registerIntGauge("network.reservation_stall_cycles", [this] {
+    reg.registerIntGauge(top, "network.reservation_stall_cycles", [this] {
         return totals().reservationStallCycles;
     });
-    reg.registerGauge("network.cq.avg_chunks",
+    reg.registerGauge(top, "network.cq.avg_chunks",
                       [this] { return avgCqChunks(); });
 
     // Virtual-lane rollups; registered at every lane count so report
     // validation can assert their presence (they read 0 at lanes=1).
-    reg.registerIntGauge("switch.lane.stalls", [this] {
+    reg.registerIntGauge(top, "switch.lane.stalls", [this] {
         std::uint64_t total = 0;
         for (const auto &sw : switches_)
             total += sw->stats().laneStallCycles.value();
         return total;
     });
-    reg.registerGauge("switch.lane.occupancy", [this] {
+    reg.registerGauge(top, "switch.lane.occupancy", [this] {
         double total = 0.0;
         for (const auto &sw : switches_)
             total += sw->laneOccupancy().average(sim_.now());
@@ -614,25 +621,25 @@ Network::registerTelemetry()
     });
 
     // Host-side rollups (fault recovery activity).
-    reg.registerIntGauge("host.retransmits", [this] {
+    reg.registerIntGauge(top, "host.retransmits", [this] {
         std::uint64_t total = 0;
         for (const auto &nic : nics_)
             total += nic->stats().retransmits.value();
         return total;
     });
-    reg.registerIntGauge("host.poisoned_drops", [this] {
+    reg.registerIntGauge(top, "host.poisoned_drops", [this] {
         std::uint64_t total = 0;
         for (const auto &nic : nics_)
             total += nic->stats().poisonedDrops.value();
         return total;
     });
-    reg.registerIntGauge("host.csum_fails", [this] {
+    reg.registerIntGauge(top, "host.csum_fails", [this] {
         std::uint64_t total = 0;
         for (const auto &nic : nics_)
             total += nic->stats().csumFails.value();
         return total;
     });
-    reg.registerIntGauge("fault.applied", [this] {
+    reg.registerIntGauge(top, "fault.applied", [this] {
         return resilience_
                    ? static_cast<std::uint64_t>(
                          resilience_->faultsApplied())
@@ -640,19 +647,19 @@ Network::registerTelemetry()
     });
 
     // Simulation-kernel activity.
-    reg.registerIntGauge("sim.events.scheduled", [this] {
+    reg.registerIntGauge(top, "sim.events.scheduled", [this] {
         return sim_.events().totalScheduled();
     });
-    reg.registerIntGauge("sim.events.fired", [this] {
+    reg.registerIntGauge(top, "sim.events.fired", [this] {
         return sim_.events().totalFired();
     });
-    reg.registerIntGauge("sim.channels.flit_sends", [this] {
+    reg.registerIntGauge(top, "sim.channels.flit_sends", [this] {
         std::uint64_t total = 0;
         for (const auto &ch : flitChannels_)
             total += ch->totalSends();
         return total;
     });
-    reg.registerIntGauge("sim.channels.credit_sends", [this] {
+    reg.registerIntGauge(top, "sim.channels.credit_sends", [this] {
         std::uint64_t total = 0;
         for (const auto &ch : creditChannels_)
             total += ch->totalSends();

@@ -39,22 +39,20 @@ Nic::attachTelemetry(Telemetry &telemetry)
 {
     tracer_ = telemetry.tracer();
     MetricsRegistry &reg = telemetry.registry();
-    const std::string prefix = "nic." + std::to_string(id_) + ".";
-    reg.registerCounter(prefix + "messages_posted",
+    const MetricsRegistry::ScopeId scope =
+        reg.scope("nic.", static_cast<std::uint32_t>(id_));
+    reg.registerCounter(scope, "messages_posted",
                         &stats_.messagesPosted);
-    reg.registerCounter(prefix + "packets_injected",
+    reg.registerCounter(scope, "packets_injected",
                         &stats_.packetsInjected);
-    reg.registerCounter(prefix + "flits_injected",
-                        &stats_.flitsInjected);
-    reg.registerCounter(prefix + "flits_ejected",
-                        &stats_.flitsEjected);
-    reg.registerCounter(prefix + "packets_delivered",
+    reg.registerCounter(scope, "flits_injected", &stats_.flitsInjected);
+    reg.registerCounter(scope, "flits_ejected", &stats_.flitsEjected);
+    reg.registerCounter(scope, "packets_delivered",
                         &stats_.packetsDelivered);
-    reg.registerCounter(prefix + "sw_forwards", &stats_.swForwards);
-    reg.registerCounter(prefix + "retransmits", &stats_.retransmits);
-    reg.registerCounter(prefix + "poisoned_drops",
-                        &stats_.poisonedDrops);
-    reg.registerCounter(prefix + "csum_fails", &stats_.csumFails);
+    reg.registerCounter(scope, "sw_forwards", &stats_.swForwards);
+    reg.registerCounter(scope, "retransmits", &stats_.retransmits);
+    reg.registerCounter(scope, "poisoned_drops", &stats_.poisonedDrops);
+    reg.registerCounter(scope, "csum_fails", &stats_.csumFails);
 }
 
 void

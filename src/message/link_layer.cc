@@ -26,19 +26,19 @@ LinkLayer::setFlaps(std::vector<FlapWindow> flaps)
 
 void
 LinkLayer::attachTelemetry(Telemetry &telemetry,
-                           const std::string &prefix)
+                           MetricsRegistry::ScopeId scope)
 {
     tracer_ = telemetry.tracer();
     MetricsRegistry &reg = telemetry.registry();
-    reg.registerCounter(prefix + "corrupted", &stats_.corrupted);
-    reg.registerCounter(prefix + "naks", &stats_.naks);
-    reg.registerCounter(prefix + "replays", &stats_.replays);
-    reg.registerCounter(prefix + "timeouts", &stats_.timeouts);
-    reg.registerCounter(prefix + "residual_errors",
+    reg.registerCounter(scope, "corrupted", &stats_.corrupted);
+    reg.registerCounter(scope, "naks", &stats_.naks);
+    reg.registerCounter(scope, "replays", &stats_.replays);
+    reg.registerCounter(scope, "timeouts", &stats_.timeouts);
+    reg.registerCounter(scope, "residual_errors",
                         &stats_.residualErrors);
-    reg.registerCounter(prefix + "replay_stall_cycles",
+    reg.registerCounter(scope, "replay_stall_cycles",
                         &stats_.replayStallCycles);
-    reg.registerCounter(prefix + "dropped", &stats_.dropped);
+    reg.registerCounter(scope, "dropped", &stats_.dropped);
 }
 
 bool

@@ -121,9 +121,9 @@ class LinkLayer : public ChannelHook<Flit>
 
     void setEscalation(EscalateFn fn) { escalate_ = std::move(fn); }
 
-    /** Register counters under @p prefix and pick up the tracer. */
+    /** Register counters under @p scope and pick up the tracer. */
     void attachTelemetry(Telemetry &telemetry,
-                         const std::string &prefix);
+                         MetricsRegistry::ScopeId scope);
 
     // --- ChannelHook ------------------------------------------------
     Cycle onSend(Flit &flit, Cycle now) override;

@@ -1,8 +1,10 @@
 #include "sim/telemetry.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
+#include <iterator>
 
 #include "sim/logging.hh"
 
@@ -136,84 +138,104 @@ MetricValue::identical(const MetricValue &other) const
 // MetricsSnapshot
 // ---------------------------------------------------------------------
 
-std::uint64_t
-MetricsSnapshot::counter(const std::string &name) const
+namespace {
+
+using Entry = MetricsSnapshot::Entry;
+
+bool
+nameBefore(const Entry &entry, std::string_view name)
 {
-    const auto it = entries_.find(name);
-    if (it == entries_.end())
+    return std::string_view(entry.first) < name;
+}
+
+} // namespace
+
+const MetricValue *
+MetricsSnapshot::find(std::string_view name) const
+{
+    const auto it = std::lower_bound(entries_.begin(), entries_.end(),
+                                     name, nameBefore);
+    if (it == entries_.end() || it->first != name)
+        return nullptr;
+    return &it->second;
+}
+
+std::uint64_t
+MetricsSnapshot::counter(std::string_view name) const
+{
+    const MetricValue *value = find(name);
+    if (value == nullptr)
         return 0;
-    if (it->second.kind == MetricValue::Kind::Gauge)
-        return static_cast<std::uint64_t>(it->second.gauge);
-    return it->second.counter;
+    if (value->kind == MetricValue::Kind::Gauge)
+        return static_cast<std::uint64_t>(value->gauge);
+    return value->counter;
 }
 
 double
-MetricsSnapshot::gauge(const std::string &name) const
+MetricsSnapshot::gauge(std::string_view name) const
 {
-    const auto it = entries_.find(name);
-    if (it == entries_.end())
+    const MetricValue *value = find(name);
+    if (value == nullptr)
         return 0.0;
-    switch (it->second.kind) {
+    switch (value->kind) {
       case MetricValue::Kind::Counter:
-        return static_cast<double>(it->second.counter);
+        return static_cast<double>(value->counter);
       case MetricValue::Kind::Gauge:
-        return it->second.gauge;
+        return value->gauge;
       case MetricValue::Kind::Sampler:
-        return it->second.sampler.mean();
+        return value->sampler.mean();
     }
     return 0.0;
 }
 
 const Sampler &
-MetricsSnapshot::sampler(const std::string &name) const
+MetricsSnapshot::sampler(std::string_view name) const
 {
     static const Sampler empty;
-    const auto it = entries_.find(name);
-    if (it == entries_.end() ||
-        it->second.kind != MetricValue::Kind::Sampler) {
+    const MetricValue *value = find(name);
+    if (value == nullptr || value->kind != MetricValue::Kind::Sampler)
         return empty;
-    }
-    return it->second.sampler;
-}
-
-bool
-MetricsSnapshot::has(const std::string &name) const
-{
-    return entries_.count(name) != 0;
+    return value->sampler;
 }
 
 void
-MetricsSnapshot::setCounter(const std::string &name, std::uint64_t v)
+MetricsSnapshot::set(std::string_view name, MetricValue value)
 {
-    entries_[name] = MetricValue::makeCounter(v);
+    const auto it = std::lower_bound(entries_.begin(), entries_.end(),
+                                     name, nameBefore);
+    if (it != entries_.end() && it->first == name)
+        it->second = std::move(value);
+    else
+        entries_.emplace(it, std::string(name), std::move(value));
 }
 
 void
-MetricsSnapshot::setGauge(const std::string &name, double v)
+MetricsSnapshot::setCounter(std::string_view name, std::uint64_t v)
 {
-    entries_[name] = MetricValue::makeGauge(v);
+    set(name, MetricValue::makeCounter(v));
 }
 
 void
-MetricsSnapshot::setSampler(const std::string &name, const Sampler &s)
+MetricsSnapshot::setGauge(std::string_view name, double v)
 {
-    entries_[name] = MetricValue::makeSampler(s);
+    set(name, MetricValue::makeGauge(v));
+}
+
+void
+MetricsSnapshot::setSampler(std::string_view name, const Sampler &s)
+{
+    set(name, MetricValue::makeSampler(s));
 }
 
 std::uint64_t
-MetricsSnapshot::sumCounters(const std::string &suffix) const
+MetricsSnapshot::sumCounters(std::string_view suffix) const
 {
     std::uint64_t total = 0;
     for (const auto &[name, value] : entries_) {
-        if (value.kind != MetricValue::Kind::Counter)
-            continue;
-        if (name.size() < suffix.size())
-            continue;
-        if (name.compare(name.size() - suffix.size(), suffix.size(),
-                         suffix) != 0) {
-            continue;
+        if (value.kind == MetricValue::Kind::Counter &&
+            std::string_view(name).ends_with(suffix)) {
+            total += value.counter;
         }
-        total += value.counter;
     }
     return total;
 }
@@ -221,27 +243,35 @@ MetricsSnapshot::sumCounters(const std::string &suffix) const
 void
 MetricsSnapshot::merge(const MetricsSnapshot &other)
 {
-    for (const auto &[name, value] : other.entries_) {
-        const auto it = entries_.find(name);
-        if (it == entries_.end())
-            entries_.emplace(name, value);
-        else
-            it->second.merge(value);
+    // One pass over both sorted vectors: own entries move across,
+    // shared names merge, names only @p other has are copied in.
+    std::vector<Entry> out;
+    out.reserve(entries_.size());
+    auto mine = entries_.begin();
+    for (const Entry &theirs : other.entries_) {
+        while (mine != entries_.end() && mine->first < theirs.first)
+            out.push_back(std::move(*mine++));
+        if (mine != entries_.end() && mine->first == theirs.first) {
+            mine->second.merge(theirs.second);
+            out.push_back(std::move(*mine++));
+        } else {
+            out.push_back(theirs);
+        }
     }
+    out.insert(out.end(), std::make_move_iterator(mine),
+               std::make_move_iterator(entries_.end()));
+    entries_ = std::move(out);
 }
 
 bool
 MetricsSnapshot::identical(const MetricsSnapshot &other) const
 {
-    if (entries_.size() != other.entries_.size())
-        return false;
-    auto a = entries_.begin();
-    auto b = other.entries_.begin();
-    for (; a != entries_.end(); ++a, ++b) {
-        if (a->first != b->first || !a->second.identical(b->second))
-            return false;
-    }
-    return true;
+    return std::equal(entries_.begin(), entries_.end(),
+                      other.entries_.begin(), other.entries_.end(),
+                      [](const Entry &a, const Entry &b) {
+                          return a.first == b.first &&
+                                 a.second.identical(b.second);
+                      });
 }
 
 std::string
@@ -276,83 +306,213 @@ MetricsSnapshot::toJson() const
 // MetricsRegistry
 // ---------------------------------------------------------------------
 
-void
-MetricsRegistry::insert(const std::string &name, Entry entry)
+MetricsRegistry::MetricsRegistry() : scopes_{{"", 0, kRoot}} {}
+
+MetricsRegistry::ScopeId
+MetricsRegistry::scope(const char *label, std::uint32_t index,
+                       ScopeId parent)
 {
-    const auto [it, inserted] =
-        entries_.emplace(name, std::move(entry));
-    (void)it;
-    if (!inserted)
-        fatal("metric '%s' registered twice", name.c_str());
+    MDW_ASSERT(parent < scopes_.size(), "scope '%s%u' under unknown "
+               "scope %u", label, index, parent);
+    scopes_.push_back(Scope{label, index, parent});
+    return static_cast<ScopeId>(scopes_.size() - 1);
+}
+
+void
+MetricsRegistry::add(ScopeId scope, const char *leaf, Source kind,
+                     const void *source, IntReader read)
+{
+    MDW_ASSERT(scope < scopes_.size(), "metric '%s' under unknown "
+               "scope %u", leaf, scope);
+    MDW_ASSERT(source != nullptr, "null source registered as '%s'",
+               leaf);
+    metrics_.push_back(Metric{leaf, source, read, scope, kind});
+}
+
+void
+MetricsRegistry::registerCounter(ScopeId scope, const char *leaf,
+                                 const Counter *c)
+{
+    add(scope, leaf, Source::Counter, c);
+}
+
+void
+MetricsRegistry::registerSampler(ScopeId scope, const char *leaf,
+                                 const Sampler *s)
+{
+    add(scope, leaf, Source::Sampler, s);
+}
+
+void
+MetricsRegistry::registerTimeAverage(ScopeId scope, const char *leaf,
+                                     const TimeAverage *t)
+{
+    add(scope, leaf, Source::TimeAvg, t);
+    add(scope, leaf, Source::TimePeak, t);
+}
+
+void
+MetricsRegistry::registerIntGauge(ScopeId scope, const char *leaf,
+                                  const void *source, IntReader read)
+{
+    MDW_ASSERT(read != nullptr, "null reader registered as '%s'", leaf);
+    add(scope, leaf, Source::Reader, source, read);
+}
+
+const char *
+MetricsRegistry::keep(const std::string &name)
+{
+    return names_.emplace_back(name).c_str();
 }
 
 void
 MetricsRegistry::registerCounter(const std::string &name,
                                  const Counter *c)
 {
-    MDW_ASSERT(c != nullptr, "null counter registered as '%s'",
-               name.c_str());
-    Entry e;
-    e.counter = c;
-    insert(name, std::move(e));
+    registerCounter(kRoot, keep(name), c);
 }
 
 void
 MetricsRegistry::registerSampler(const std::string &name,
                                  const Sampler *s)
 {
-    MDW_ASSERT(s != nullptr, "null sampler registered as '%s'",
-               name.c_str());
-    Entry e;
-    e.sampler = s;
-    insert(name, std::move(e));
+    registerSampler(kRoot, keep(name), s);
+}
+
+void
+MetricsRegistry::registerTimeAverage(const std::string &name,
+                                     const TimeAverage *t)
+{
+    registerTimeAverage(kRoot, keep(name), t);
+}
+
+void
+MetricsRegistry::registerIntGauge(ScopeId scope, const char *leaf,
+                                  IntGaugeFn fn)
+{
+    MDW_ASSERT(fn != nullptr, "null gauge registered as '%s'", leaf);
+    registerIntGauge(scope, leaf,
+                     &intGauges_.emplace_back(std::move(fn)),
+                     [](const void *f) {
+                         return (*static_cast<const IntGaugeFn *>(f))();
+                     });
+}
+
+void
+MetricsRegistry::registerGauge(ScopeId scope, const char *leaf,
+                               GaugeFn fn)
+{
+    MDW_ASSERT(fn != nullptr, "null gauge registered as '%s'", leaf);
+    add(scope, leaf, Source::Gauge,
+        &gauges_.emplace_back(std::move(fn)));
 }
 
 void
 MetricsRegistry::registerGauge(const std::string &name, GaugeFn fn)
 {
-    MDW_ASSERT(fn != nullptr, "null gauge registered as '%s'",
-               name.c_str());
-    Entry e;
-    e.gauge = std::move(fn);
-    insert(name, std::move(e));
+    registerGauge(kRoot, keep(name), std::move(fn));
 }
 
 void
 MetricsRegistry::registerIntGauge(const std::string &name,
                                   IntGaugeFn fn)
 {
-    MDW_ASSERT(fn != nullptr, "null gauge registered as '%s'",
-               name.c_str());
-    Entry e;
-    e.intGauge = std::move(fn);
-    insert(name, std::move(e));
+    registerIntGauge(kRoot, keep(name), std::move(fn));
 }
 
 void
-MetricsRegistry::registerTimeAverage(const std::string &name,
-                                     const TimeAverage *t, NowFn now)
+MetricsRegistry::appendScope(std::string &out, ScopeId id) const
 {
-    MDW_ASSERT(t != nullptr && now != nullptr,
-               "null time average registered as '%s'", name.c_str());
-    registerGauge(name + ".avg",
-                  [t, now] { return t->average(now()); });
-    registerGauge(name + ".peak", [t] { return t->peak(); });
+    const Scope &s = scopes_[id];
+    if (s.parent != kRoot) {
+        appendScope(out, s.parent);
+        out += '.';
+    }
+    out += s.label;
+    char digits[16];
+    const auto end = std::to_chars(digits, digits + sizeof(digits),
+                                   s.index).ptr;
+    out.append(digits, end);
+}
+
+std::vector<MetricsRegistry::Name>
+MetricsRegistry::render(std::string &buf) const
+{
+    std::vector<Name> names;
+    names.reserve(metrics_.size());
+    for (std::size_t i = 0; i < metrics_.size(); ++i) {
+        const Metric &m = metrics_[i];
+        const std::size_t offset = buf.size();
+        if (m.scope != kRoot) {
+            appendScope(buf, m.scope);
+            buf += '.';
+        }
+        buf += m.leaf;
+        if (m.kind == Source::TimeAvg)
+            buf += ".avg";
+        else if (m.kind == Source::TimePeak)
+            buf += ".peak";
+        names.push_back(Name{static_cast<std::uint32_t>(offset),
+                             static_cast<std::uint32_t>(buf.size() -
+                                                        offset),
+                             static_cast<std::uint32_t>(i)});
+    }
+    const auto view = [&buf](const Name &n) {
+        return std::string_view(buf).substr(n.offset, n.length);
+    };
+    std::sort(names.begin(), names.end(),
+              [&view](const Name &a, const Name &b) {
+                  return view(a) < view(b);
+              });
+    const auto dup = std::adjacent_find(
+        names.begin(), names.end(), [&view](const Name &a, const Name &b) {
+            return view(a) == view(b);
+        });
+    if (dup != names.end()) {
+        fatal("metric '%s' registered twice",
+              std::string(view(*dup)).c_str());
+    }
+    return names;
 }
 
 MetricsSnapshot
 MetricsRegistry::snapshot() const
 {
+    std::string buf;
+    const std::vector<Name> names = render(buf);
+    const Cycle now = now_ ? now_() : Cycle{0};
     MetricsSnapshot snap;
-    for (const auto &[name, entry] : entries_) {
-        if (entry.counter != nullptr)
-            snap.setCounter(name, entry.counter->value());
-        else if (entry.sampler != nullptr)
-            snap.setSampler(name, *entry.sampler);
-        else if (entry.intGauge)
-            snap.setCounter(name, entry.intGauge());
-        else
-            snap.setGauge(name, entry.gauge());
+    snap.entries_.reserve(names.size());
+    for (const Name &n : names) {
+        const Metric &m = metrics_[n.metric];
+        MetricValue value;
+        switch (m.kind) {
+          case Source::Counter:
+            value = MetricValue::makeCounter(
+                static_cast<const Counter *>(m.source)->value());
+            break;
+          case Source::Sampler:
+            value = MetricValue::makeSampler(
+                *static_cast<const Sampler *>(m.source));
+            break;
+          case Source::TimeAvg:
+            value = MetricValue::makeGauge(
+                static_cast<const TimeAverage *>(m.source)->average(now));
+            break;
+          case Source::TimePeak:
+            value = MetricValue::makeGauge(
+                static_cast<const TimeAverage *>(m.source)->peak());
+            break;
+          case Source::Reader:
+            value = MetricValue::makeCounter(m.read(m.source));
+            break;
+          case Source::Gauge:
+            value = MetricValue::makeGauge(
+                (*static_cast<const GaugeFn *>(m.source))());
+            break;
+        }
+        snap.entries_.emplace_back(buf.substr(n.offset, n.length),
+                                   std::move(value));
     }
     return snap;
 }
@@ -360,12 +520,10 @@ MetricsRegistry::snapshot() const
 std::vector<std::string>
 MetricsRegistry::names() const
 {
+    std::string buf;
     std::vector<std::string> out;
-    out.reserve(entries_.size());
-    for (const auto &[name, entry] : entries_) {
-        (void)entry;
-        out.push_back(name);
-    }
+    for (const Name &n : render(buf))
+        out.push_back(buf.substr(n.offset, n.length));
     return out;
 }
 

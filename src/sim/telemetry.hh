@@ -8,7 +8,7 @@
  * hierarchical dotted names ("switch.3.port.2.tx_flits",
  * "nic.7.retransmits"); components register once at construction and
  * keep updating their own objects on the hot path, so registration
- * adds no per-cycle cost. snapshot() walks the (sorted) registry and
+ * adds no per-cycle cost. snapshot() renders and sorts the names and
  * produces a MetricsSnapshot — a self-contained value type that can
  * be carried in results, looked up by name, merged across runs in
  * submission order (Sampler::merge semantics), and compared bitwise.
@@ -29,10 +29,12 @@
 #define MDW_SIM_TELEMETRY_HH
 
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "sim/shard_context.hh"
@@ -74,24 +76,30 @@ struct MetricValue
 
 /**
  * Keyed, self-contained snapshot of every registered metric — the
- * value type ExperimentResult carries. Lookups on missing names
- * return zero / an empty sampler so accessors stay total.
+ * value type ExperimentResult carries: one vector of (name, value)
+ * entries sorted by name, looked up by binary search. Lookups on
+ * missing names return zero / an empty sampler so accessors stay
+ * total.
  */
 class MetricsSnapshot
 {
   public:
-    std::uint64_t counter(const std::string &name) const;
-    double gauge(const std::string &name) const;
-    const Sampler &sampler(const std::string &name) const;
-    bool has(const std::string &name) const;
+    using Entry = std::pair<std::string, MetricValue>;
 
-    void setCounter(const std::string &name, std::uint64_t v);
-    void setGauge(const std::string &name, double v);
-    void setSampler(const std::string &name, const Sampler &s);
+    std::uint64_t counter(std::string_view name) const;
+    double gauge(std::string_view name) const;
+    const Sampler &sampler(std::string_view name) const;
+    bool has(std::string_view name) const { return find(name) != nullptr; }
+    /** The value stored under @p name, or null. */
+    const MetricValue *find(std::string_view name) const;
+
+    void setCounter(std::string_view name, std::uint64_t v);
+    void setGauge(std::string_view name, double v);
+    void setSampler(std::string_view name, const Sampler &s);
 
     /** Sum of every counter whose name ends with @p suffix (rolls a
      *  per-component metric up over the hierarchy). */
-    std::uint64_t sumCounters(const std::string &suffix) const;
+    std::uint64_t sumCounters(std::string_view suffix) const;
 
     /**
      * Merge @p other into this snapshot. Deterministic given a fixed
@@ -105,58 +113,152 @@ class MetricsSnapshot
 
     std::size_t size() const { return entries_.size(); }
     bool empty() const { return entries_.empty(); }
-    const std::map<std::string, MetricValue> &entries() const
-    {
-        return entries_;
-    }
+    /** Every entry, sorted by name, names unique. */
+    const std::vector<Entry> &entries() const { return entries_; }
 
     /** One JSON object {"name": value | {sampler fields}, ...},
      *  sorted by name (deterministic). */
     std::string toJson() const;
 
   private:
-    std::map<std::string, MetricValue> entries_;
+    friend class MetricsRegistry;
+
+    /** Insert or overwrite @p name, keeping entries_ sorted. */
+    void set(std::string_view name, MetricValue value);
+
+    std::vector<Entry> entries_;
 };
 
 /**
  * Registry of live metric sources. Components register their stat
  * objects (by pointer; the component retains ownership and must
- * outlive the registry's snapshots) or gauge functions under unique
- * hierarchical names. snapshot() reads every source once.
+ * outlive the registry's snapshots) under unique hierarchical names.
+ * snapshot() reads every source once.
+ *
+ * Storage is flat and append-only. A component registers its name
+ * prefix once as a scope ("switch.12", then "switch.12.port.3" under
+ * it), and each metric is a fixed-size record: scope id, static leaf
+ * name, source kind, source pointer. Registering a counter, sampler,
+ * time average or IntReader gauge builds no string and no
+ * std::function. Full names exist only inside snapshot() and
+ * names(), which render and sort them; that is also where a
+ * duplicate name is caught, and it is fatal.
  */
 class MetricsRegistry
 {
   public:
+    /** A registered name prefix; see scope(). */
+    using ScopeId = std::uint32_t;
+    /** The empty prefix: a metric here is named by its leaf alone. */
+    static constexpr ScopeId kRoot = 0;
+
     using GaugeFn = std::function<double()>;
     using IntGaugeFn = std::function<std::uint64_t()>;
     using NowFn = std::function<Cycle()>;
+    /** Reads an integer gauge off @p source at snapshot time. A
+     *  captureless function, so registering one allocates nothing. */
+    using IntReader = std::uint64_t (*)(const void *source);
 
+    MetricsRegistry();
+    /** Records point into the registry's own storage. */
+    MetricsRegistry(const MetricsRegistry &) = delete;
+    MetricsRegistry &operator=(const MetricsRegistry &) = delete;
+
+    /**
+     * Register the prefix "<parent>.<label><index>", or
+     * "<label><index>" under kRoot: scope("switch.", 12) names
+     * "switch.12", and scope("p", 3, link) under "link.7" names
+     * "link.7.p3". @p label must outlive the registry (a literal).
+     */
+    ScopeId scope(const char *label, std::uint32_t index,
+                  ScopeId parent = kRoot);
+
+    /** Scoped registration: the metric is named "<scope>.<leaf>";
+     *  @p leaf must outlive the registry (a literal). */
+    void registerCounter(ScopeId scope, const char *leaf,
+                         const Counter *c);
+    void registerSampler(ScopeId scope, const char *leaf,
+                         const Sampler *s);
+    /** Registers "<leaf>.avg" and "<leaf>.peak", evaluated at the
+     *  snapshot's clock reading (setClock). */
+    void registerTimeAverage(ScopeId scope, const char *leaf,
+                             const TimeAverage *t);
+    void registerIntGauge(ScopeId scope, const char *leaf,
+                          const void *source, IntReader read);
+    /** Closure gauges, for rollups over many components. */
+    void registerIntGauge(ScopeId scope, const char *leaf,
+                          IntGaugeFn fn);
+    void registerGauge(ScopeId scope, const char *leaf, GaugeFn fn);
+
+    /** Whole-name registration under kRoot: thin wrappers that keep
+     *  one copy of @p name and share the scoped storage. */
     void registerCounter(const std::string &name, const Counter *c);
     void registerSampler(const std::string &name, const Sampler *s);
+    void registerTimeAverage(const std::string &name,
+                             const TimeAverage *t);
     void registerGauge(const std::string &name, GaugeFn fn);
     void registerIntGauge(const std::string &name, IntGaugeFn fn);
-    /** Registers "<name>.avg" and "<name>.peak" gauges over @p t,
-     *  evaluated at snapshot time via @p now. */
-    void registerTimeAverage(const std::string &name,
-                             const TimeAverage *t, NowFn now);
+
+    /** The clock time averages are read at; unset reads cycle 0. */
+    void setClock(NowFn now) { now_ = std::move(now); }
 
     MetricsSnapshot snapshot() const;
 
-    std::size_t size() const { return entries_.size(); }
+    std::size_t size() const { return metrics_.size(); }
+    /** Every registered name, sorted. */
     std::vector<std::string> names() const;
 
   private:
-    struct Entry
+    enum class Source : std::uint8_t
     {
-        const Counter *counter = nullptr;
-        const Sampler *sampler = nullptr;
-        GaugeFn gauge;
-        IntGaugeFn intGauge;
+        Counter,
+        Sampler,
+        TimeAvg,
+        TimePeak,
+        Reader,
+        Gauge,
     };
 
-    void insert(const std::string &name, Entry entry);
+    struct Scope
+    {
+        const char *label;
+        std::uint32_t index;
+        ScopeId parent;
+    };
 
-    std::map<std::string, Entry> entries_;
+    struct Metric
+    {
+        const char *leaf;
+        const void *source;
+        /** Source::Reader only. */
+        IntReader read;
+        ScopeId scope;
+        Source kind;
+    };
+
+    /** Where one rendered name sits in the render buffer. */
+    struct Name
+    {
+        std::uint32_t offset;
+        std::uint32_t length;
+        std::uint32_t metric;
+    };
+
+    void add(ScopeId scope, const char *leaf, Source kind,
+             const void *source, IntReader read = nullptr);
+    const char *keep(const std::string &name);
+    void appendScope(std::string &out, ScopeId id) const;
+    /** Render every name into @p buf, sorted; fatal on a duplicate. */
+    std::vector<Name> render(std::string &buf) const;
+
+    /** [kRoot] is the empty prefix. */
+    std::vector<Scope> scopes_;
+    std::vector<Metric> metrics_;
+    /** Storage behind the whole-name wrappers (stable addresses). */
+    std::deque<std::string> names_;
+    std::deque<GaugeFn> gauges_;
+    std::deque<IntGaugeFn> intGauges_;
+    NowFn now_;
 };
 
 // ---------------------------------------------------------------------

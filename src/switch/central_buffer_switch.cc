@@ -231,21 +231,20 @@ CentralBufferSwitch::attachTelemetry(Telemetry &telemetry)
 {
     SwitchBase::attachTelemetry(telemetry);
     MetricsRegistry &reg = telemetry.registry();
-    const std::string prefix =
-        "switch." + std::to_string(id_) + ".";
-    reg.registerTimeAverage(prefix + "cq.occupancy_chunks", &cqOcc_,
-                            [this] {
-                                return sim_ ? sim_->now() : Cycle{0};
-                            });
-    reg.registerIntGauge(prefix + "cq.capacity_chunks", [this] {
-        return static_cast<std::uint64_t>(cq_.capacityChunks());
-    });
-    reg.registerCounter(prefix + "barrier.tokens_combined",
+    reg.registerTimeAverage(metricScope_, "cq.occupancy_chunks",
+                            &cqOcc_);
+    reg.registerIntGauge(metricScope_, "cq.capacity_chunks", &cq_,
+                         [](const void *cq) {
+                             return static_cast<std::uint64_t>(
+                                 static_cast<const CentralQueue *>(cq)
+                                     ->capacityChunks());
+                         });
+    reg.registerCounter(metricScope_, "barrier.tokens_combined",
                         &barrierTokens_);
-    reg.registerIntGauge(prefix + "arb.write_grants",
-                         [this] { return writeArb_.totalGrants(); });
-    reg.registerIntGauge(prefix + "arb.read_grants",
-                         [this] { return readArb_.totalGrants(); });
+    reg.registerIntGauge(metricScope_, "arb.write_grants", &writeArb_,
+                         readGrants);
+    reg.registerIntGauge(metricScope_, "arb.read_grants", &readArb_,
+                         readGrants);
 }
 
 void

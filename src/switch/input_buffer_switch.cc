@@ -508,16 +508,19 @@ InputBufferSwitch::attachTelemetry(Telemetry &telemetry)
 {
     SwitchBase::attachTelemetry(telemetry);
     MetricsRegistry &reg = telemetry.registry();
-    const std::string prefix =
-        "switch." + std::to_string(id_) + ".";
-    reg.registerIntGauge(prefix + "arb.output_grants", [this] {
-        std::uint64_t total = 0;
-        for (const RoundRobinArbiter &arb : outputArb_)
-            total += arb.totalGrants();
-        return total;
-    });
-    reg.registerIntGauge(prefix + "arb.sync_grants",
-                         [this] { return syncArb_.totalGrants(); });
+    reg.registerIntGauge(
+        metricScope_, "arb.output_grants", &outputArb_,
+        [](const void *arbs) {
+            std::uint64_t total = 0;
+            for (const RoundRobinArbiter &arb :
+                 *static_cast<const std::vector<RoundRobinArbiter> *>(
+                     arbs)) {
+                total += arb.totalGrants();
+            }
+            return total;
+        });
+    reg.registerIntGauge(metricScope_, "arb.sync_grants", &syncArb_,
+                         readGrants);
 }
 
 bool

@@ -30,8 +30,10 @@ SwitchBase::SwitchBase(std::string name, SwitchId id,
       held_(fifos_.size()),
       outs_(static_cast<std::size_t>(routing->radix())),
       portTx_(static_cast<std::size_t>(routing->radix())),
-      laneTx_(static_cast<std::size_t>(routing->radix()) *
-              static_cast<std::size_t>(params.lanes)),
+      laneTx_(params.lanes > 1
+                  ? static_cast<std::size_t>(routing->radix()) *
+                        static_cast<std::size_t>(params.lanes)
+                  : 0),
       rng_(Rng(params.seed).fork(static_cast<std::uint64_t>(id) + 17))
 {
     MDW_ASSERT(routing != nullptr, "switch %d without routing", id);
@@ -243,7 +245,8 @@ SwitchBase::notePortSend(std::size_t port, int lane)
 {
     stats_.flitsOut.inc();
     portTx_[port].inc();
-    laneTx_[laneIdx(port, lane)].inc();
+    if (params_.lanes > 1)
+        laneTx_[laneIdx(port, lane)].inc();
 }
 
 void
@@ -301,7 +304,7 @@ SwitchBase::intake(Cycle now)
             held_.set(laneIdx(i, flit.lane));
         } else {
             MDW_ASSERT(!fifo.packets.empty() &&
-                           fifo.packets.back().pkt->id == flit.pkt->id,
+                           fifo.packets.back().pkt == flit.pkt,
                        "switch %d input %zu lane %d: interleaved "
                        "packets on one lane",
                        id_, i, flit.lane);
@@ -455,44 +458,38 @@ SwitchBase::attachTelemetry(Telemetry &telemetry)
 {
     tracer_ = telemetry.tracer();
     MetricsRegistry &reg = telemetry.registry();
-    const std::string prefix =
-        "switch." + std::to_string(id_) + ".";
-    reg.registerCounter(prefix + "flits_in", &stats_.flitsIn);
-    reg.registerCounter(prefix + "flits_out", &stats_.flitsOut);
-    reg.registerCounter(prefix + "packets_routed",
+    metricScope_ =
+        reg.scope("switch.", static_cast<std::uint32_t>(id_));
+    reg.registerCounter(metricScope_, "flits_in", &stats_.flitsIn);
+    reg.registerCounter(metricScope_, "flits_out", &stats_.flitsOut);
+    reg.registerCounter(metricScope_, "packets_routed",
                         &stats_.packetsRouted);
-    reg.registerCounter(prefix + "replications",
+    reg.registerCounter(metricScope_, "replications",
                         &stats_.replications);
-    reg.registerCounter(prefix + "reservation_stall_cycles",
+    reg.registerCounter(metricScope_, "reservation_stall_cycles",
                         &stats_.reservationStallCycles);
-    reg.registerCounter(prefix + "tombstoned_flits",
+    reg.registerCounter(metricScope_, "tombstoned_flits",
                         &stats_.tombstonedFlits);
-    reg.registerCounter(prefix + "unroutable_dests",
+    reg.registerCounter(metricScope_, "unroutable_dests",
                         &stats_.unroutableDests);
+    if (params_.lanes > 1) {
+        reg.registerCounter(metricScope_, "lane.stall_cycles",
+                            &stats_.laneStallCycles);
+        reg.registerTimeAverage(metricScope_, "lane.occupancy_flits",
+                                &laneOcc_);
+    }
     for (std::size_t p = 0; p < outs_.size(); ++p) {
         if (!outs_[p].connected())
             continue;
-        reg.registerCounter(prefix + "port." + std::to_string(p) +
-                                ".tx_flits",
-                            &portTx_[p]);
-    }
-    if (params_.lanes > 1) {
-        reg.registerCounter(prefix + "lane.stall_cycles",
-                            &stats_.laneStallCycles);
-        reg.registerTimeAverage(prefix + "lane.occupancy_flits",
-                                &laneOcc_, [this] {
-                                    return sim_ ? sim_->now()
-                                                : Cycle{0};
-                                });
-        for (std::size_t p = 0; p < outs_.size(); ++p) {
-            if (!outs_[p].connected())
-                continue;
-            for (int l = 0; l < params_.lanes; ++l) {
-                reg.registerCounter(
-                    prefix + "port." + std::to_string(p) + ".lane." +
-                        std::to_string(l) + ".tx_flits",
-                    &laneTx_[laneIdx(p, l)]);
-            }
+        const MetricsRegistry::ScopeId port = reg.scope(
+            "port.", static_cast<std::uint32_t>(p), metricScope_);
+        reg.registerCounter(port, "tx_flits", &portTx_[p]);
+        if (params_.lanes == 1)
+            continue;
+        for (int l = 0; l < params_.lanes; ++l) {
+            reg.registerCounter(
+                reg.scope("lane.", static_cast<std::uint32_t>(l), port),
+                "tx_flits", &laneTx_[laneIdx(p, l)]);
         }
     }
 }

@@ -508,7 +508,17 @@ class SwitchBase : public Component
                         false, arg);
     }
 
+    /** IntReader over a RoundRobinArbiter's grant total. */
+    static std::uint64_t readGrants(const void *arbiter)
+    {
+        return static_cast<const RoundRobinArbiter *>(arbiter)
+            ->totalGrants();
+    }
+
     SwitchId id_;
+    /** "switch.<id>": set by attachTelemetry, extended by the
+     *  architectures' own metrics. */
+    MetricsRegistry::ScopeId metricScope_ = MetricsRegistry::kRoot;
     const SwitchRouting *routing_;
     SwitchParams params_;
     /** Flits of FIFO buffering per (input port, lane). */
@@ -521,8 +531,8 @@ class SwitchBase : public Component
     SlotMask held_;
     std::vector<OutPort> outs_;
     std::vector<Counter> portTx_;
-    /** Per-(port, lane) tx flits, laneIdx-flattened; registered as
-     *  metrics only on multi-lane switches. */
+    /** Per-(port, lane) tx flits, laneIdx-flattened; empty (neither
+     *  counted nor registered) on single-lane switches. */
     std::vector<Counter> laneTx_;
     TimeAverage laneOcc_;
     Rng rng_;

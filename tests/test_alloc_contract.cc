@@ -2,7 +2,8 @@
  * @file
  * Allocation contract of the flit path: once queues have reached
  * their working depth, moving flits over links, through the central
- * queue and out of a NIC allocates nothing.
+ * queue and out of a NIC allocates nothing. Registering metrics
+ * allocates per scope (per component), not per metric.
  *
  * This file replaces the global operator new/delete of the test
  * binary with malloc-backed versions that count allocations (a
@@ -18,12 +19,15 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <iterator>
 #include <new>
+#include <vector>
 
 #include "host/mcast_tracker.hh"
 #include "host/nic.hh"
 #include "message/flit.hh"
 #include "sim/channel.hh"
+#include "sim/telemetry.hh"
 #include "switch/central_queue.hh"
 
 namespace {
@@ -285,6 +289,33 @@ TEST(AllocContract, NicInjectingBacklogAllocatesNothing)
     EXPECT_GT(nic.stats().flitsInjected.value() - flitsBefore, 100u);
     EXPECT_EQ(nic.stats().packetsInjected.value(), 2u);
     EXPECT_EQ(nic.txBacklog(), 4u);
+}
+
+TEST(AllocContract, MetricRegistrationIsPerScope)
+{
+    // A switch-sized component: one scope, eight counters. Registering
+    // 1,000 of them may allocate at most once per scope (amortized
+    // vector growth costs far less), never once per metric.
+    constexpr std::uint32_t kScopes = 1000;
+    constexpr const char *kLeaves[] = {
+        "flits_in",     "flits_out",        "packets_routed",
+        "replications", "reservation_stall_cycles",
+        "tombstoned_flits", "unroutable_dests", "tx_flits"};
+    std::vector<Counter> counters(kScopes * std::size(kLeaves));
+    MetricsRegistry reg;
+
+    const std::uint64_t before = allocationCount();
+    std::size_t next = 0;
+    for (std::uint32_t s = 0; s < kScopes; ++s) {
+        const MetricsRegistry::ScopeId scope = reg.scope("switch.", s);
+        for (const char *leaf : kLeaves)
+            reg.registerCounter(scope, leaf, &counters[next++]);
+    }
+    const std::uint64_t allocated = allocationCount() - before;
+
+    EXPECT_EQ(reg.size(), counters.size());
+    EXPECT_LE(allocated, kScopes);
+    EXPECT_EQ(reg.names()[8 * 2 + 1], "switch.10.flits_out");
 }
 
 } // namespace

@@ -83,12 +83,10 @@ diffSnapshots(const MetricsSnapshot &a, const MetricsSnapshot &b)
 {
     std::string out;
     for (const auto &entry : a.entries()) {
-        if (!b.has(entry.first)) {
+        const MetricValue *other = b.find(entry.first);
+        if (other == nullptr)
             out += "missing in fast: " + entry.first + "; ";
-            continue;
-        }
-        const auto it = b.entries().find(entry.first);
-        if (!entry.second.identical(it->second))
+        else if (!entry.second.identical(*other))
             out += "differs: " + entry.first + "; ";
     }
     for (const auto &entry : b.entries()) {

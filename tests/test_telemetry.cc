@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "core/presets.hh"
 #include "core/report.hh"
 #include "core/sweep.hh"
@@ -94,6 +98,168 @@ TEST(MetricsRegistry, SnapshotsReadLiveSources)
     c.inc(2); // registry holds pointers, not copies
     EXPECT_EQ(reg.snapshot().counter("c"), 5u);
     EXPECT_EQ(snap.counter("c"), 3u); // snapshots are value types
+}
+
+TEST(MetricsRegistry, ScopesRenderDottedNames)
+{
+    Counter c;
+    MetricsRegistry reg;
+    const MetricsRegistry::ScopeId sw = reg.scope("switch.", 12);
+    const MetricsRegistry::ScopeId port = reg.scope("port.", 3, sw);
+    reg.registerCounter(sw, "flits_in", &c);
+    reg.registerCounter(port, "tx_flits", &c);
+    reg.registerCounter(reg.scope("p", 2, reg.scope("link.", 7)), "naks",
+                        &c);
+    reg.registerCounter("network.flits_in", &c);
+    EXPECT_EQ(reg.size(), 4u);
+    EXPECT_EQ(reg.names(),
+              (std::vector<std::string>{"link.7.p2.naks",
+                                        "network.flits_in",
+                                        "switch.12.flits_in",
+                                        "switch.12.port.3.tx_flits"}));
+}
+
+TEST(MetricsRegistry, NamesAreSortedAndUnique)
+{
+    // Registered out of order, across scopes and whole names; "10"
+    // sorts before "9" as the names are compared as strings.
+    Counter c;
+    MetricsRegistry reg;
+    for (std::uint32_t id : {9u, 10u, 1u}) {
+        const MetricsRegistry::ScopeId nic = reg.scope("nic.", id);
+        reg.registerCounter(nic, "retransmits", &c);
+        reg.registerCounter(nic, "flits_injected", &c);
+    }
+    reg.registerCounter("host.retransmits", &c);
+    reg.registerCounter("a", &c);
+    const std::vector<std::string> names = reg.names();
+    ASSERT_EQ(names.size(), reg.size());
+    EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
+    EXPECT_EQ(std::adjacent_find(names.begin(), names.end()),
+              names.end());
+    EXPECT_EQ(names.front(), "a");
+    EXPECT_EQ(names[2], "nic.1.flits_injected");
+    EXPECT_EQ(names[4], "nic.10.flits_injected");
+    // The snapshot holds the same names in the same order.
+    const MetricsSnapshot snap = reg.snapshot();
+    ASSERT_EQ(snap.size(), names.size());
+    for (std::size_t i = 0; i < names.size(); ++i)
+        EXPECT_EQ(snap.entries()[i].first, names[i]);
+}
+
+TEST(MetricsRegistryDeathTest, DuplicateNameIsFatal)
+{
+    Counter c;
+    // The same name reached through a scope and as a whole name.
+    EXPECT_EXIT(
+        {
+            MetricsRegistry reg;
+            reg.registerCounter(reg.scope("switch.", 1), "flits_in", &c);
+            reg.registerCounter("switch.1.flits_in", &c);
+            (void)reg.snapshot();
+        },
+        ::testing::ExitedWithCode(1),
+        "metric 'switch.1.flits_in' registered twice");
+    // Two identical scopes are allowed; their metrics must differ.
+    EXPECT_EXIT(
+        {
+            MetricsRegistry reg;
+            reg.registerCounter(reg.scope("nic.", 4), "naks", &c);
+            reg.registerCounter(reg.scope("nic.", 4), "naks", &c);
+            (void)reg.names();
+        },
+        ::testing::ExitedWithCode(1),
+        "metric 'nic.4.naks' registered twice");
+}
+
+TEST(MetricsRegistry, TimeAverageYieldsAvgAndPeak)
+{
+    TimeAverage occupancy;
+    occupancy.update(4.0, 0);
+    occupancy.update(0.0, 10);
+    Cycle now = 20;
+    MetricsRegistry reg;
+    reg.setClock([&now] { return now; });
+    reg.registerTimeAverage(reg.scope("switch.", 0),
+                            "cq.occupancy_chunks", &occupancy);
+    reg.registerTimeAverage("network.occupancy", &occupancy);
+    EXPECT_EQ(reg.names(),
+              (std::vector<std::string>{"network.occupancy.avg",
+                                        "network.occupancy.peak",
+                                        "switch.0.cq.occupancy_chunks.avg",
+                                        "switch.0.cq.occupancy_chunks.peak"}));
+    MetricsSnapshot snap = reg.snapshot();
+    EXPECT_DOUBLE_EQ(snap.gauge("switch.0.cq.occupancy_chunks.avg"),
+                     occupancy.average(20));
+    EXPECT_DOUBLE_EQ(snap.gauge("switch.0.cq.occupancy_chunks.peak"), 4.0);
+    // Read at the clock's value when the snapshot is taken.
+    now = 40;
+    snap = reg.snapshot();
+    EXPECT_DOUBLE_EQ(snap.gauge("network.occupancy.avg"),
+                     occupancy.average(40));
+    EXPECT_LT(snap.gauge("network.occupancy.avg"),
+              occupancy.average(20));
+}
+
+TEST(MetricsRegistry, IntReaderGaugesReadTheirSource)
+{
+    std::uint64_t grants = 3;
+    MetricsRegistry reg;
+    reg.registerIntGauge(reg.scope("switch.", 2), "arb.grants", &grants,
+                         [](const void *g) {
+                             return *static_cast<const std::uint64_t *>(g);
+                         });
+    reg.registerIntGauge(MetricsRegistry::kRoot, "total",
+                         [&grants] { return grants * 2; });
+    grants = 5;
+    const MetricsSnapshot snap = reg.snapshot();
+    EXPECT_EQ(snap.counter("switch.2.arb.grants"), 5u);
+    EXPECT_EQ(snap.counter("total"), 10u);
+}
+
+TEST(MetricsSnapshot, SetCounterAfterSnapshotThenMerge)
+{
+    Counter c;
+    Sampler s;
+    c.inc(4);
+    s.add(2.0);
+    MetricsRegistry reg;
+    reg.registerCounter("switch.0.flits_in", &c);
+    reg.registerSampler("tracker.latency.unicast", &s);
+    reg.registerGauge("network.cq.avg_chunks", [] { return 1.5; });
+
+    MetricsSnapshot first = reg.snapshot();
+    // Added after the snapshot: sorted in, or overwriting in place.
+    first.setCounter("experiment.end_backlog_packets", 7);
+    first.setGauge("workload.rate", 0.25);
+    first.setCounter("switch.0.flits_in", 9);
+
+    MetricsSnapshot second = reg.snapshot();
+    second.setCounter("experiment.end_backlog_packets", 1);
+    second.setCounter("zz.only_second", 3);
+
+    first.merge(second);
+    EXPECT_EQ(first.counter("switch.0.flits_in"), 13u);
+    EXPECT_EQ(first.counter("experiment.end_backlog_packets"), 8u);
+    EXPECT_EQ(first.counter("zz.only_second"), 3u);
+    // Gauges merged across runs collapse into a per-run sampler;
+    // gauges only one side has stay gauges.
+    EXPECT_EQ(first.sampler("network.cq.avg_chunks").count(), 2u);
+    EXPECT_DOUBLE_EQ(first.gauge("workload.rate"), 0.25);
+    EXPECT_EQ(first.sampler("tracker.latency.unicast").count(), 2u);
+    EXPECT_EQ(
+        first.toJson(),
+        "{\"experiment.end_backlog_packets\":8,"
+        "\"network.cq.avg_chunks\":{\"count\":2,\"mean\":1.5,"
+        "\"stddev\":0,\"min\":1.5,\"max\":1.5},"
+        "\"switch.0.flits_in\":13,"
+        "\"tracker.latency.unicast\":{\"count\":2,\"mean\":2,"
+        "\"stddev\":0,\"min\":2,\"max\":2},"
+        "\"workload.rate\":0.25,\"zz.only_second\":3}");
+    // Merging into an empty snapshot copies.
+    MetricsSnapshot empty;
+    empty.merge(second);
+    EXPECT_TRUE(empty.identical(second));
 }
 
 // --- WormTracer ------------------------------------------------------
