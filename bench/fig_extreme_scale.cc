@@ -8,7 +8,9 @@
  *               512 hosts: 4-ary n-trees from 64 up to 65,536 hosts
  *               (n = 8), run sharded at low load, reporting wall
  *               clock, per-shard wall clock (partition balance), and
- *               boundary traffic per point.
+ *               boundary traffic per point; the time to build the
+ *               topology (graph and routing tables) and the peak
+ *               resident memory go to stderr and the JSON.
  *   contended — a >= 1024-host system under heavy multicast load,
  *               timed flat and at 2/4/8 shards. This is the speedup
  *               case sharding exists for; the per-case results are
@@ -38,6 +40,7 @@
 
 #include "bench_common.hh"
 #include "core/experiment.hh"
+#include "topology/fat_tree.hh"
 
 namespace {
 
@@ -48,6 +51,24 @@ msSince(std::chrono::steady_clock::time_point start)
 {
     const auto elapsed = std::chrono::steady_clock::now() - start;
     return std::chrono::duration<double, std::milli>(elapsed).count();
+}
+
+/** Peak resident memory of this process in MiB (VmHWM), or -1 where
+ *  /proc/self/status does not report it. */
+double
+peakRssMb()
+{
+    double mb = -1.0;
+    if (FILE *status = std::fopen("/proc/self/status", "r")) {
+        char line[256];
+        long kb = 0;
+        while (std::fgets(line, sizeof line, status)) {
+            if (std::sscanf(line, "VmHWM: %ld kB", &kb) == 1)
+                mb = static_cast<double>(kb) / 1024.0;
+        }
+        std::fclose(status);
+    }
+    return mb;
 }
 
 std::size_t
@@ -69,6 +90,8 @@ struct ScaleRow
     double minShardWallMs = 0.0;
     std::uint64_t boundarySends = 0;
     std::uint64_t flitsIn = 0;
+    double topologyBuildMs = 0.0;
+    double peakRssMb = 0.0;
 };
 
 struct SpeedupRow
@@ -135,7 +158,15 @@ main(int argc, char **argv)
         params.drainLimit = 60000;
         params.watchdogQuiet = 200000;
 
-        const auto start = std::chrono::steady_clock::now();
+        // The topology on its own first: graph plus routing tables,
+        // the part of network build that grows with the host count.
+        auto start = std::chrono::steady_clock::now();
+        {
+            const FatTree tree(4, n);
+        }
+        const double topologyBuildMs = msSince(start);
+
+        start = std::chrono::steady_clock::now();
         const ExperimentResult result =
             Experiment(network, traffic, params).run();
         const double wallMs = msSince(start);
@@ -157,6 +188,8 @@ main(int argc, char **argv)
         }
         row.maxShardWallMs = maxMs;
         row.minShardWallMs = minMs;
+        row.topologyBuildMs = topologyBuildMs;
+        row.peakRssMb = peakRssMb();
         scale.push_back(row);
         lastSharded = result;
 
@@ -168,6 +201,10 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(
                         row.boundarySends));
         std::fflush(stdout);
+        std::fprintf(stderr,
+                     "# %zu hosts: topology build %.1f ms, peak RSS "
+                     "%.1f MB\n",
+                     row.hosts, row.topologyBuildMs, row.peakRssMb);
 
         if (result.effectiveShards != 4) {
             std::fprintf(stderr,
@@ -290,7 +327,9 @@ main(int argc, char **argv)
                     "\"shard_wall_max_ms\": %.2f, "
                     "\"shard_wall_min_ms\": %.2f, "
                     "\"boundary_sends\": %llu, "
-                    "\"flits_in\": %llu}%s\n",
+                    "\"flits_in\": %llu, "
+                    "\"topology_build_ms\": %.2f, "
+                    "\"peak_rss_mb\": %.1f}%s\n",
                     row.hosts, row.switches,
                     static_cast<unsigned long long>(row.cycles),
                     row.wallMs, row.maxShardWallMs,
@@ -298,6 +337,7 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(
                         row.boundarySends),
                     static_cast<unsigned long long>(row.flitsIn),
+                    row.topologyBuildMs, row.peakRssMb,
                     i + 1 < scale.size() ? "," : "");
             }
             std::fprintf(json, "  ]\n}\n");

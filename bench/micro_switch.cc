@@ -4,14 +4,21 @@
  * loaded networks, in simulated cycles per second, for both switch
  * architectures and two system sizes; plus the flit-path primitives
  * underneath them (a loaded link, a credit loop, a central-queue
- * entry's write/read lifecycle).
+ * entry's write/read lifecycle) and the routing tables (building a
+ * fat tree's tables, decoding a multicast) up to 65,536 hosts.
  */
 
 #include <benchmark/benchmark.h>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "core/presets.hh"
 #include "sim/channel.hh"
+#include "sim/rng.hh"
 #include "switch/central_queue.hh"
+#include "topology/fat_tree.hh"
 
 namespace {
 
@@ -125,6 +132,65 @@ BM_CentralQueueWriteRead(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CentralQueueWriteRead)->Arg(1)->Arg(4);
+
+/** Bytes in use on the heap, mmapped blocks included (0 where the
+ *  C library cannot say). */
+double
+heapInUse()
+{
+#if defined(__GLIBC__) && __GLIBC_PREREQ(2, 33)
+    const struct mallinfo2 info = mallinfo2();
+    return static_cast<double>(info.uordblks + info.hblkhd);
+#else
+    return 0.0;
+#endif
+}
+
+/** Build the routing tables of a FatTree(4, state.range(0)); the
+ *  heap_mb counter is what one set of tables keeps. */
+void
+BM_RoutingBuild(benchmark::State &state)
+{
+    const FatTree tree(4, static_cast<int>(state.range(0)));
+    double heap = 0.0;
+    for (auto _ : state) {
+        const double before = heapInUse();
+        const NetworkRouting routing(tree.graph(), tree.dirs());
+        heap = heapInUse() - before;
+        benchmark::DoNotOptimize(&routing);
+    }
+    state.counters["hosts"] = static_cast<double>(tree.numHosts());
+    state.counters["heap_mb"] = heap / (1 << 20);
+}
+BENCHMARK(BM_RoutingBuild)
+    ->Arg(5)
+    ->Arg(7)
+    ->Arg(8)
+    ->Unit(benchmark::kMillisecond);
+
+/** Decode a degree-8 multicast (ReplicateAfterLca) in a
+ *  FatTree(4, state.range(0)), at a leaf switch (range(1) = 0), where
+ *  it turns up, or at a root (1), where it splits into branches. */
+void
+BM_Decode(benchmark::State &state)
+{
+    const FatTree tree(4, static_cast<int>(state.range(0)));
+    const SwitchRouting &sr = tree.routing().at(
+        state.range(1) == 0 ? tree.switchAt(0, 0)
+                            : tree.switchAt(tree.n() - 1, 0));
+    Rng rng(7);
+    DestSet dests(tree.numHosts());
+    while (dests.count() < 8)
+        dests.set(static_cast<NodeId>(rng.below(tree.numHosts())));
+    for (auto _ : state) {
+        RouteDecision route =
+            sr.decode(dests, RoutingVariant::ReplicateAfterLca);
+        benchmark::DoNotOptimize(route);
+    }
+    state.SetItemsProcessed(state.iterations());
+    state.counters["hosts"] = static_cast<double>(tree.numHosts());
+}
+BENCHMARK(BM_Decode)->ArgsProduct({{5, 7, 8}, {0, 1}});
 
 } // namespace
 

@@ -288,7 +288,8 @@ ResilienceManager::recomputeReachability()
         while (!frontier.empty()) {
             const SwitchId s = frontier.front();
             frontier.pop_front();
-            reach |= routing.at(s).allDownReach();
+            for (const HostRange &r : routing.at(s).downUnion())
+                reach.setRange(r.lo, r.hi);
             for (PortId p = 0; p < graph.radix(s); ++p) {
                 if (dirs_[static_cast<std::size_t>(s)]
                          [static_cast<std::size_t>(p)] != PortDir::Up)

@@ -4,6 +4,31 @@
 
 namespace mdw {
 
+namespace {
+
+/** Call fn(word index, mask of the word's bits in [lo, hi)). */
+template <typename Fn>
+void
+forRangeWords(NodeId lo, NodeId hi, Fn &&fn)
+{
+    if (lo >= hi)
+        return;
+    const auto first = static_cast<std::size_t>(lo) / 64;
+    const auto last = static_cast<std::size_t>(hi - 1) / 64;
+    const std::uint64_t lo_mask = ~0ULL << (lo % 64);
+    const std::uint64_t hi_mask = ~0ULL >> (63 - (hi - 1) % 64);
+    if (first == last) {
+        fn(first, lo_mask & hi_mask);
+        return;
+    }
+    fn(first, lo_mask);
+    for (std::size_t w = first + 1; w < last; ++w)
+        fn(w, ~0ULL);
+    fn(last, hi_mask);
+}
+
+} // namespace
+
 DestSet::DestSet(std::size_t size)
     : size_(size), words_((size + 63) / 64, 0)
 {
@@ -31,6 +56,14 @@ DestSet::checkCompatible(const DestSet &other) const
     MDW_ASSERT(other.size_ == size_,
                "DestSet universe mismatch: %zu vs %zu", size_,
                other.size_);
+}
+
+void
+DestSet::checkRange(NodeId lo, NodeId hi) const
+{
+    MDW_ASSERT(lo >= 0 && lo <= hi && static_cast<std::size_t>(hi) <= size_,
+               "node range [%d,%d) out of universe [0,%zu)", lo, hi,
+               size_);
 }
 
 void
@@ -119,6 +152,54 @@ DestSet::toVector() const
     out.reserve(count());
     forEach([&out](NodeId id) { out.push_back(id); });
     return out;
+}
+
+void
+DestSet::setRange(NodeId lo, NodeId hi)
+{
+    checkRange(lo, hi);
+    forRangeWords(lo, hi,
+                  [this](std::size_t w, std::uint64_t m) { words_[w] |= m; });
+}
+
+void
+DestSet::clearRange(NodeId lo, NodeId hi)
+{
+    checkRange(lo, hi);
+    forRangeWords(lo, hi,
+                  [this](std::size_t w, std::uint64_t m) { words_[w] &= ~m; });
+}
+
+std::size_t
+DestSet::countRange(NodeId lo, NodeId hi) const
+{
+    checkRange(lo, hi);
+    std::size_t total = 0;
+    forRangeWords(lo, hi, [this, &total](std::size_t w, std::uint64_t m) {
+        total += static_cast<std::size_t>(__builtin_popcountll(words_[w] & m));
+    });
+    return total;
+}
+
+bool
+DestSet::anyInRange(NodeId lo, NodeId hi) const
+{
+    checkRange(lo, hi);
+    std::uint64_t any = 0;
+    forRangeWords(lo, hi, [this, &any](std::size_t w, std::uint64_t m) {
+        any |= words_[w] & m;
+    });
+    return any != 0;
+}
+
+void
+DestSet::copyRange(const DestSet &other, NodeId lo, NodeId hi)
+{
+    checkCompatible(other);
+    checkRange(lo, hi);
+    forRangeWords(lo, hi, [this, &other](std::size_t w, std::uint64_t m) {
+        words_[w] |= other.words_[w] & m;
+    });
 }
 
 DestSet &

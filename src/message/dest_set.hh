@@ -4,9 +4,10 @@
  *
  * The bit-string header encoding of the paper is literally this set:
  * bit i set means node i is a destination of the worm. Switches decode
- * by intersecting the set with per-output-port reachability masks, so
- * the set operations here are the hot path of multidestination
- * routing.
+ * by splitting the set along each output port's host intervals (see
+ * topology/routing.hh), so the range operations here are the hot path
+ * of multidestination routing: they touch only the words inside
+ * [lo, hi).
  */
 
 #ifndef MDW_MESSAGE_DEST_SET_HH
@@ -56,6 +57,17 @@ class DestSet
     /** Members in ascending order. */
     std::vector<NodeId> toVector() const;
 
+    /** Add every node in [lo, hi). */
+    void setRange(NodeId lo, NodeId hi);
+    /** Remove every node in [lo, hi). */
+    void clearRange(NodeId lo, NodeId hi);
+    /** Number of members in [lo, hi). */
+    std::size_t countRange(NodeId lo, NodeId hi) const;
+    /** True if some member lies in [lo, hi). */
+    bool anyInRange(NodeId lo, NodeId hi) const;
+    /** Add the members of @p other that lie in [lo, hi). */
+    void copyRange(const DestSet &other, NodeId lo, NodeId hi);
+
     DestSet &operator&=(const DestSet &other);
     DestSet &operator|=(const DestSet &other);
     /** Set difference: remove members of @p other. */
@@ -88,6 +100,7 @@ class DestSet
   private:
     void checkCompatible(const DestSet &other) const;
     void checkId(NodeId id) const;
+    void checkRange(NodeId lo, NodeId hi) const;
 
     std::size_t size_;
     std::vector<std::uint64_t> words_;

@@ -275,7 +275,7 @@ CentralBufferSwitch::decide(Cycle now)
         // Decode once per worm: a multicast waiting for its
         // reservation keeps its route unless the table was swapped.
         if (input.routedBy != routing_) {
-            input.route = std::make_unique<RouteDecision>(
+            input.route.emplace(
                 routing_->decode(rec.pkt->dests, params_.variant));
             input.routedBy = routing_;
             traceWorm(WormEvent::HeaderDecode, now, *rec.pkt,
@@ -368,7 +368,7 @@ CentralBufferSwitch::processBarrierEmissions(Cycle now)
             }
             PacketDesc desc;
             desc.src = kInvalidNode;
-            desc.dests = DestSet(routing_->allDownReach().size());
+            desc.dests = DestSet(routing_->numHosts());
             desc.kind = PacketKind::BarrierArrive;
             desc.headerFlits = 2;
             desc.payloadFlits = 0;

@@ -24,7 +24,7 @@
 
 #include <cstdio>
 #include <functional>
-#include <memory>
+#include <optional>
 
 #include "switch/arbiter.hh"
 #include "switch/barrier_unit.hh"
@@ -137,10 +137,10 @@ class CentralBufferSwitch : public SwitchBase
         PacketPtr bypassPkt;
         /** Central-queue mode: entry being written. */
         CentralQueue::EntryId entry = CentralQueue::kNoEntry;
-        /** The head packet's route, decoded once under routedBy (null
+        /** The head packet's route, decoded once under routedBy (empty
          *  until decoded); a multicast waiting for its reservation
          *  reuses it unless setRouting() swapped the table. */
-        std::unique_ptr<RouteDecision> route;
+        std::optional<RouteDecision> route;
         const SwitchRouting *routedBy = nullptr;
     };
 

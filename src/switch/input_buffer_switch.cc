@@ -189,7 +189,8 @@ InputBufferSwitch::decodeHeads(Cycle now)
                            false});
             } else {
                 input.upPending = true;
-                input.upCandidates = route.upCandidates;
+                input.upCandidates.assign(route.upCandidates.begin(),
+                                          route.upCandidates.end());
                 input.upDests = route.upDests;
             }
         }

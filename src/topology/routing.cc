@@ -1,5 +1,7 @@
 #include "topology/routing.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 #include "topology/graph.hh"
 
@@ -43,12 +45,79 @@ toString(UpPortPolicy policy)
     return "?";
 }
 
-SwitchRouting::SwitchRouting(int radix, std::size_t num_hosts)
-    : ports_(static_cast<std::size_t>(radix)), allDown_(num_hosts),
-      allUp_(num_hosts), numHosts_(num_hosts)
+namespace {
+
+/**
+ * Sort ranges[from..] and merge overlapping or adjacent intervals in
+ * place, leaving ranges[..from) alone.
+ */
+void
+normalize(std::vector<HostRange> &ranges, std::size_t from = 0)
 {
-    for (auto &p : ports_)
-        p.reach = DestSet(num_hosts);
+    if (ranges.size() < from + 2)
+        return;
+    std::sort(ranges.begin() + static_cast<std::ptrdiff_t>(from),
+              ranges.end(), [](const HostRange &x, const HostRange &y) {
+                  return x.lo < y.lo;
+              });
+    std::size_t last = from;
+    for (std::size_t i = from + 1; i < ranges.size(); ++i) {
+        if (ranges[i].lo <= ranges[last].hi)
+            ranges[last].hi = std::max(ranges[last].hi, ranges[i].hi);
+        else
+            ranges[++last] = ranges[i];
+    }
+    ranges.resize(last + 1);
+}
+
+bool
+intersects(HostRanges a, HostRanges b)
+{
+    std::size_t i = 0, j = 0;
+    while (i < a.size() && j < b.size()) {
+        if (a[i].hi <= b[j].lo)
+            ++i;
+        else if (b[j].hi <= a[i].lo)
+            ++j;
+        else
+            return true;
+    }
+    return false;
+}
+
+/** The hosts of @p a that are not in @p b. */
+std::vector<HostRange>
+subtract(HostRanges a, HostRanges b)
+{
+    std::vector<HostRange> out;
+    std::size_t j = 0;
+    for (const HostRange &r : a) {
+        NodeId lo = r.lo;
+        while (j < b.size() && b[j].hi <= lo)
+            ++j;
+        for (std::size_t k = j; k < b.size() && b[k].lo < r.hi; ++k) {
+            if (b[k].lo > lo)
+                out.push_back(HostRange{lo, b[k].lo});
+            lo = std::max(lo, b[k].hi);
+        }
+        if (lo < r.hi)
+            out.push_back(HostRange{lo, r.hi});
+    }
+    return out;
+}
+
+void
+extend(std::vector<HostRange> &into, const std::vector<HostRange> &from)
+{
+    into.insert(into.end(), from.begin(), from.end());
+}
+
+} // namespace
+
+SwitchRouting::SwitchRouting(int radix, std::size_t num_hosts)
+    : ports_(static_cast<std::size_t>(radix)), numHosts_(num_hosts)
+{
+    ranges_.reserve(ports_.size());
 }
 
 void
@@ -64,110 +133,209 @@ SwitchRouting::dir(PortId port) const
     return ports_.at(static_cast<std::size_t>(port)).dir;
 }
 
+HostRanges
+SwitchRouting::slice(Slice s) const
+{
+    return HostRanges(ranges_).subspan(s.begin, s.end - s.begin);
+}
+
+SwitchRouting::Slice
+SwitchRouting::append(HostRanges ranges)
+{
+    const auto begin = static_cast<std::uint32_t>(ranges_.size());
+    ranges_.insert(ranges_.end(), ranges.begin(), ranges.end());
+    return Slice{begin, static_cast<std::uint32_t>(ranges_.size())};
+}
+
 void
-SwitchRouting::setDownReach(PortId port, DestSet reach)
+SwitchRouting::setReach(PortId port, PortDir dir, HostRanges reach)
 {
     MDW_ASSERT(!frozen_, "routing modified after freeze");
     auto &state = ports_.at(static_cast<std::size_t>(port));
-    MDW_ASSERT(state.dir == PortDir::Down,
-               "down-reach set on non-down port %d", port);
-    state.reach = std::move(reach);
+    MDW_ASSERT(state.dir == dir, "%s-reach set on a %s port %d",
+               toString(dir), toString(state.dir), port);
+    for (std::size_t i = 0; i < reach.size(); ++i) {
+        MDW_ASSERT(reach[i].lo < reach[i].hi &&
+                       (i == 0 || reach[i - 1].hi < reach[i].lo) &&
+                       static_cast<std::size_t>(reach[i].hi) <= numHosts_,
+                   "port %d reach is not sorted, disjoint intervals "
+                   "within [0,%zu)",
+                   port, numHosts_);
+    }
+    state.reach = append(reach);
 }
 
-const DestSet &
+void
+SwitchRouting::setDownReach(PortId port, HostRanges reach)
+{
+    setReach(port, PortDir::Down, reach);
+}
+
+HostRanges
 SwitchRouting::downReach(PortId port) const
 {
-    return ports_.at(static_cast<std::size_t>(port)).reach;
+    return slice(ports_.at(static_cast<std::size_t>(port)).reach);
 }
 
 void
-SwitchRouting::setUpReach(PortId port, DestSet reach)
+SwitchRouting::setUpReach(PortId port, HostRanges reach)
 {
-    MDW_ASSERT(!frozen_, "routing modified after freeze");
-    auto &state = ports_.at(static_cast<std::size_t>(port));
-    MDW_ASSERT(state.dir == PortDir::Up,
-               "up-reach set on non-up port %d", port);
-    state.reach = std::move(reach);
+    setReach(port, PortDir::Up, reach);
 }
 
-const DestSet &
+HostRanges
 SwitchRouting::upReach(PortId port) const
 {
-    return ports_.at(static_cast<std::size_t>(port)).reach;
+    return slice(ports_.at(static_cast<std::size_t>(port)).reach);
+}
+
+std::size_t
+SwitchRouting::downReachCount() const
+{
+    std::size_t total = 0;
+    for (const HostRange &r : downUnion())
+        total += static_cast<std::size_t>(r.hi - r.lo);
+    return total;
 }
 
 void
 SwitchRouting::freeze()
 {
     MDW_ASSERT(!frozen_, "double freeze");
-    upPorts_.clear();
-    downPorts_.clear();
-    allDown_ = DestSet(numHosts_);
-    allUp_ = DestSet(numHosts_);
+    std::size_t ups = 0, downs = 0;
+    for (const PortState &state : ports_) {
+        ups += state.dir == PortDir::Up;
+        downs += state.dir == PortDir::Down;
+    }
+    upPorts_.reserve(ups);
+    downSplits_.reserve(downs);
+    const auto union_begin = static_cast<std::uint32_t>(ranges_.size());
     for (std::size_t p = 0; p < ports_.size(); ++p) {
-        switch (ports_[p].dir) {
-          case PortDir::Up:
-            upPorts_.push_back(static_cast<PortId>(p));
-            allUp_ |= ports_[p].reach;
-            break;
-          case PortDir::Down:
-            downPorts_.push_back(static_cast<PortId>(p));
-            allDown_ |= ports_[p].reach;
-            break;
-          case PortDir::Unused:
-            break;
+        const PortId port = static_cast<PortId>(p);
+        if (ports_[p].dir == PortDir::Up) {
+            upPorts_.push_back(port);
+        } else if (ports_[p].dir == PortDir::Down) {
+            downSplits_.push_back(DownSplit{port, ports_[p].reach});
+            for (std::uint32_t i = ports_[p].reach.begin;
+                 i < ports_[p].reach.end; ++i) {
+                const HostRange r = ranges_[i];
+                ranges_.push_back(r);
+            }
         }
     }
+    normalize(ranges_, union_begin);
+    downUnion_ =
+        Slice{union_begin, static_cast<std::uint32_t>(ranges_.size())};
+
+    // A down port whose reach overlaps an earlier down port's keeps
+    // only the rest. Fat trees and UniMin never overlap, so their
+    // splits are the reach lists themselves.
+    for (std::size_t i = 1; i < downSplits_.size(); ++i) {
+        const HostRanges own = slice(downSplits_[i].ranges);
+        bool overlaps = false;
+        for (std::size_t j = 0; j < i && !overlaps; ++j)
+            overlaps = intersects(own, downReach(downSplits_[j].port));
+        if (!overlaps)
+            continue;
+        std::vector<HostRange> rest(own.begin(), own.end());
+        for (std::size_t j = 0; j < i; ++j)
+            rest = subtract(rest, downReach(downSplits_[j].port));
+        downSplits_[i].ranges = append(rest);
+    }
     frozen_ = true;
+}
+
+bool
+SwitchRouting::anyIn(const DestSet &dests, Slice s) const
+{
+    bool any = false;
+    for (const HostRange &r : slice(s))
+        any |= dests.anyInRange(r.lo, r.hi);
+    return any;
+}
+
+bool
+SwitchRouting::allDownReachable(const DestSet &dests) const
+{
+    NodeId from = 0;
+    for (const HostRange &r : downUnion()) {
+        if (dests.anyInRange(from, r.lo))
+            return false;
+        from = r.hi;
+    }
+    return !dests.anyInRange(from, static_cast<NodeId>(numHosts_));
+}
+
+void
+SwitchRouting::branch(const DestSet &dests, RouteDecision &out,
+                      DestSet *rest) const
+{
+    for (const DownSplit &split : downSplits_) {
+        if (!anyIn(dests, split.ranges))
+            continue;
+        DestSet sub(numHosts_);
+        for (const HostRange &r : slice(split.ranges)) {
+            sub.copyRange(dests, r.lo, r.hi);
+            if (rest)
+                rest->clearRange(r.lo, r.hi);
+        }
+        out.downBranches.emplace_back(split.port, std::move(sub));
+    }
 }
 
 RouteDecision
 SwitchRouting::decode(const DestSet &dests, RoutingVariant variant) const
 {
     MDW_ASSERT(frozen_, "decode before freeze");
-    MDW_ASSERT(!dests.empty(), "decoding an empty destination set");
+    MDW_ASSERT(dests.size() == numHosts_,
+               "DestSet universe mismatch: %zu vs %zu", dests.size(),
+               numHosts_);
 
+    // Only the words inside each down port's intervals (and, to find
+    // destinations that need an up port, the gaps between them) are
+    // read; only the branch sets returned are allocated.
     RouteDecision out;
-    out.upDests = DestSet(dests.size());
-    out.unroutable = DestSet(dests.size());
-
-    DestSet remaining = dests;
-    for (PortId p : downPorts_) {
-        if (remaining.empty())
-            break;
-        DestSet sub = remaining & downReach(p);
-        if (sub.empty())
-            continue;
-        remaining -= sub;
-        out.downBranches.emplace_back(p, std::move(sub));
+    if (allDownReachable(dests)) {
+        branch(dests, out, nullptr);
+        MDW_ASSERT(!out.downBranches.empty(),
+                   "decoding an empty destination set");
+        return out;
     }
 
-    if (!remaining.empty()) {
-        if (tolerant_) {
-            // Rebuilt-around-faults table: destinations no up port
-            // can serve are reported unroutable here instead of
-            // riding the worm to a dead end; whatever down branches
-            // exist keep serving the reachable destinations.
-            out.unroutable = remaining - allUp_;
-            remaining -= out.unroutable;
-            if (remaining.empty())
+    if (tolerant_) {
+        // Rebuilt-around-faults table: destinations no up port can
+        // serve are reported unroutable here instead of riding the
+        // worm to a dead end; whatever down branches exist keep
+        // serving the reachable destinations.
+        DestSet rest = dests;
+        for (const HostRange &r : downUnion())
+            rest.clearRange(r.lo, r.hi);
+        DestSet lost = rest;
+        for (PortId p : upPorts_) {
+            for (const HostRange &r : upReach(p))
+                lost.clearRange(r.lo, r.hi);
+        }
+        if (!lost.empty()) {
+            rest -= lost;
+            out.unroutable = std::move(lost);
+            if (rest.empty()) {
+                branch(dests, out, nullptr);
                 return out;
+            }
         }
-        MDW_ASSERT(!upPorts_.empty(),
-                   "destinations unreachable and no up port");
-        if (variant == RoutingVariant::ReplicateAfterLca) {
-            // Below the LCA the worm does not branch: the whole set
-            // rides up and all replication happens on the way down.
-            out.downBranches.clear();
-            out.upDests = tolerant_ ? dests - out.unroutable : dests;
-        } else {
-            out.upDests = std::move(remaining);
-        }
-        out.upCandidates = upPorts_;
-        if (tolerant_)
-            filterUpCandidates(out);
     }
-
+    MDW_ASSERT(!upPorts_.empty(), "destinations unreachable and no up port");
+    out.upDests = dests;
+    if (!out.unroutable.empty())
+        out.upDests -= out.unroutable;
+    // ReplicateAfterLca: below the LCA the worm does not branch; the
+    // whole set rides up and all replication happens on the way
+    // down. ReplicateOnUpPath branches here and sends up the rest.
+    if (variant == RoutingVariant::ReplicateOnUpPath)
+        branch(dests, out, &out.upDests);
+    out.upCandidates = upPorts_;
+    if (tolerant_)
+        filterUpCandidates(out);
     return out;
 }
 
@@ -180,14 +348,18 @@ SwitchRouting::filterUpCandidates(RouteDecision &out) const
     // so that no single port covers the set, fall back to maximal
     // coverage — the stragglers surface as unroutable higher up and
     // the source's retransmission re-covers them.
-    std::vector<PortId> full, best;
+    const std::size_t want = out.upDests.count();
+    std::vector<PortId> &full = out.filteredUp;
+    std::vector<PortId> best;
     std::size_t best_count = 0;
     for (PortId p : upPorts_) {
-        if (out.upDests.subsetOf(upReach(p))) {
+        std::size_t n = 0;
+        for (const HostRange &r : upReach(p))
+            n += out.upDests.countRange(r.lo, r.hi);
+        if (n == want) {
             full.push_back(p);
             continue;
         }
-        const std::size_t n = (out.upDests & upReach(p)).count();
         if (n > best_count) {
             best_count = n;
             best.clear();
@@ -195,10 +367,10 @@ SwitchRouting::filterUpCandidates(RouteDecision &out) const
         if (n == best_count && n > 0)
             best.push_back(p);
     }
+    if (full.empty())
+        full = std::move(best);
     if (!full.empty())
-        out.upCandidates = std::move(full);
-    else if (!best.empty())
-        out.upCandidates = std::move(best);
+        out.upCandidates = full;
 }
 
 NetworkRouting::NetworkRouting(
@@ -222,10 +394,12 @@ NetworkRouting::NetworkRouting(
             switches_[s].setDir(static_cast<PortId>(p), dirs[s][p]);
     }
 
-    // Memoized down-reachability per switch. Colors: 0 unvisited,
-    // 1 in progress (cycle detection), 2 done.
+    // Memoized down-reach per switch, as host intervals: a switch
+    // collects its children's lists and host ports, and merges them
+    // once all are in. Colors: 0 unvisited, 1 in progress (cycle
+    // detection), 2 done.
     std::vector<int> color(num_switches, 0);
-    std::vector<DestSet> down_reach(num_switches, DestSet(num_hosts));
+    std::vector<std::vector<HostRange>> down_reach(num_switches);
 
     // Iterative DFS to avoid deep recursion on large networks.
     struct Frame
@@ -251,7 +425,8 @@ NetworkRouting::NetworkRouting(
                     continue;
                 const PortPeer &peer = graph.peer(sw, p);
                 if (peer.isHost()) {
-                    down_reach[sw].set(peer.host);
+                    down_reach[sw].push_back(
+                        HostRange{peer.host, peer.host + 1});
                 } else if (peer.isSwitch()) {
                     if (color[peer.sw] == 1) {
                         panic("down-link cycle through switches %d "
@@ -264,17 +439,17 @@ NetworkRouting::NetworkRouting(
                         descended = true;
                         break;
                     }
-                    down_reach[sw] |= down_reach[peer.sw];
+                    extend(down_reach[sw], down_reach[peer.sw]);
                 }
             }
             if (descended)
                 continue;
             if (frame.next_port >= radix) {
                 color[sw] = 2;
+                normalize(down_reach[sw]);
                 stack.pop_back();
-                if (!stack.empty()) {
-                    down_reach[stack.back().sw] |= down_reach[sw];
-                }
+                if (!stack.empty())
+                    extend(down_reach[stack.back().sw], down_reach[sw]);
             }
         }
     };
@@ -282,12 +457,12 @@ NetworkRouting::NetworkRouting(
     for (std::size_t s = 0; s < num_switches; ++s)
         compute(static_cast<SwitchId>(s));
 
-    // Tolerant tables additionally carry up-reach masks: the hosts a
+    // Tolerant tables additionally carry up-reach lists: the hosts a
     // worm can still reach after ascending a given up port, i.e. the
     // union of down-reach over the up-closure of the port's peer.
     // Memoized over the (acyclic) up-link orientation, mirroring the
     // down-reach traversal above.
-    std::vector<DestSet> up_reach;
+    std::vector<std::vector<HostRange>> up_reach;
     if (tolerant) {
         up_reach = down_reach;
         std::vector<int> ucolor(num_switches, 0);
@@ -321,15 +496,16 @@ NetworkRouting::NetworkRouting(
                         ascended = true;
                         break;
                     }
-                    up_reach[sw] |= up_reach[peer.sw];
+                    extend(up_reach[sw], up_reach[peer.sw]);
                 }
                 if (ascended)
                     continue;
                 if (frame.next_port >= radix) {
                     ucolor[sw] = 2;
+                    normalize(up_reach[sw]);
                     stack.pop_back();
                     if (!stack.empty())
-                        up_reach[stack.back().sw] |= up_reach[sw];
+                        extend(up_reach[stack.back().sw], up_reach[sw]);
                 }
             }
         };
@@ -337,24 +513,18 @@ NetworkRouting::NetworkRouting(
             computeUp(static_cast<SwitchId>(s));
     }
 
-    // Fill per-port reachability masks.
+    // Hand every port its list.
     for (std::size_t s = 0; s < num_switches; ++s) {
         const SwitchId sw = static_cast<SwitchId>(s);
         for (PortId p = 0; p < graph.radix(sw); ++p) {
             const PortDir dir = dirs[s][static_cast<std::size_t>(p)];
-            if (dir == PortDir::Up && tolerant) {
-                switches_[s].setUpReach(
-                    p, up_reach[graph.peer(sw, p).sw]);
-                continue;
-            }
-            if (dir != PortDir::Down)
-                continue;
             const PortPeer &peer = graph.peer(sw, p);
-            if (peer.isHost()) {
-                DestSet reach(num_hosts);
-                reach.set(peer.host);
-                switches_[s].setDownReach(p, std::move(reach));
-            } else if (peer.isSwitch()) {
+            if (dir == PortDir::Up && tolerant) {
+                switches_[s].setUpReach(p, up_reach[peer.sw]);
+            } else if (dir == PortDir::Down && peer.isHost()) {
+                const HostRange one{peer.host, peer.host + 1};
+                switches_[s].setDownReach(p, HostRanges(&one, 1));
+            } else if (dir == PortDir::Down && peer.isSwitch()) {
                 switches_[s].setDownReach(p, down_reach[peer.sw]);
             }
         }

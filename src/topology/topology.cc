@@ -31,7 +31,7 @@ Topology::finalize()
          rootsMustReachAll_ && s < graph_.numSwitches(); ++s) {
         const auto &sr = routing_->at(static_cast<SwitchId>(s));
         if (sr.upPorts().empty()) {
-            MDW_ASSERT(sr.allDownReach().count() == graph_.numHosts(),
+            MDW_ASSERT(sr.downReachCount() == graph_.numHosts(),
                        "root switch %zu cannot reach all hosts", s);
         }
     }

@@ -3,12 +3,14 @@
  * Allocation contract of the flit path: once queues have reached
  * their working depth, moving flits over links, through the central
  * queue and out of a NIC allocates nothing. Registering metrics
- * allocates per scope (per component), not per metric.
+ * allocates per scope (per component), not per metric. Building a
+ * fat tree's routing tables allocates the same bytes per switch port
+ * at every size.
  *
  * This file replaces the global operator new/delete of the test
- * binary with malloc-backed versions that count allocations (a
- * relaxed atomic, so the suite stays clean under the thread
- * sanitizer). Packets are built before each counting window: the
+ * binary with malloc-backed versions that count allocations and
+ * their bytes (relaxed atomics, so the suite stays clean under the
+ * thread sanitizer). Packets are built before each counting window: the
  * contract covers the per-flit and per-entry work, not packet
  * construction.
  */
@@ -29,15 +31,18 @@
 #include "sim/channel.hh"
 #include "sim/telemetry.hh"
 #include "switch/central_queue.hh"
+#include "topology/fat_tree.hh"
 
 namespace {
 
 std::atomic<std::uint64_t> allocations{0};
+std::atomic<std::uint64_t> allocatedBytes{0};
 
 void *
 countedAlloc(std::size_t size, std::size_t align = 0)
 {
     allocations.fetch_add(1, std::memory_order_relaxed);
+    allocatedBytes.fetch_add(size, std::memory_order_relaxed);
     if (size == 0)
         size = 1;
     void *p = align == 0
@@ -63,6 +68,12 @@ std::uint64_t
 allocationCount()
 {
     return allocations.load(std::memory_order_relaxed);
+}
+
+std::uint64_t
+allocationBytes()
+{
+    return allocatedBytes.load(std::memory_order_relaxed);
 }
 
 } // namespace
@@ -316,6 +327,27 @@ TEST(AllocContract, MetricRegistrationIsPerScope)
     EXPECT_EQ(reg.size(), counters.size());
     EXPECT_LE(allocated, kScopes);
     EXPECT_EQ(reg.names()[8 * 2 + 1], "switch.10.flits_out");
+}
+
+TEST(AllocContract, FatTreeRoutingBytesPerPortDoNotGrow)
+{
+    // All bytes a FatTree(4, n) build allocates (graph, directions,
+    // routing tables and their temporaries), per switch port: about
+    // 90 at every size with host intervals. N-bit masks cost hosts/8
+    // bytes each and grow 4x per level, so the check stops at the
+    // first size that grows rather than build the larger ones.
+    double first = 0;
+    for (int n = 4; n <= 7; ++n) {
+        const std::uint64_t before = allocationBytes();
+        const FatTree tree(4, n);
+        const double per_port =
+            static_cast<double>(allocationBytes() - before) /
+            static_cast<double>(tree.numSwitches() * 8);
+        if (n == 4)
+            first = per_port;
+        ASSERT_LE(per_port, first * 1.1)
+            << "FatTree(4," << n << "): " << tree.numHosts() << " hosts";
+    }
 }
 
 } // namespace

@@ -66,6 +66,45 @@ TEST_P(DestSetSizes, SetOperations)
     EXPECT_EQ(diff.count(), a.count() - 1);
 }
 
+TEST_P(DestSetSizes, RangeOperationsMatchPerBitLoops)
+{
+    const std::size_t n = GetParam();
+    // Members on both sides of every word edge.
+    DestSet pattern(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        if (i % 5 == 0 || i % 64 == 63)
+            pattern.set(static_cast<NodeId>(i));
+    }
+    std::vector<NodeId> cuts;
+    for (std::size_t c : {0, 1, 2, 62, 63, 64, 65, 127, 128, 129, 199,
+                          200, 1023, 1024}) {
+        if (c <= n)
+            cuts.push_back(static_cast<NodeId>(c));
+    }
+    for (NodeId lo : cuts) {
+        for (NodeId hi : cuts) {
+            if (lo > hi)
+                continue;
+            DestSet in(n);
+            for (NodeId i = lo; i < hi; ++i)
+                in.set(i);
+            const std::size_t members = (pattern & in).count();
+
+            DestSet set(n);
+            set.setRange(lo, hi);
+            EXPECT_EQ(set, in) << lo << ".." << hi;
+            DestSet cleared = pattern;
+            cleared.clearRange(lo, hi);
+            EXPECT_EQ(cleared, pattern - in) << lo << ".." << hi;
+            EXPECT_EQ(pattern.countRange(lo, hi), members);
+            EXPECT_EQ(pattern.anyInRange(lo, hi), members > 0);
+            DestSet copied(n);
+            copied.copyRange(pattern, lo, hi);
+            EXPECT_EQ(copied, pattern & in) << lo << ".." << hi;
+        }
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(WordBoundaries, DestSetSizes,
                          ::testing::Values(1, 2, 63, 64, 65, 128, 200,
                                            1024));
@@ -112,6 +151,8 @@ TEST(DestSetDeath, OutOfRangePanics)
     EXPECT_DEATH(s.set(8), "out of universe");
     EXPECT_DEATH(s.set(-1), "out of universe");
     EXPECT_DEATH((void)s.test(100), "out of universe");
+    EXPECT_DEATH(s.setRange(0, 9), "out of universe");
+    EXPECT_DEATH((void)s.countRange(5, 4), "out of universe");
 }
 
 TEST(DestSetDeath, MismatchedUniversePanics)

@@ -75,18 +75,41 @@ TEST_P(FatTreeShapes, DownReachPartitionsHostsAtEverySwitch)
             t.routing().at(static_cast<SwitchId>(s));
         DestSet seen(t.numHosts());
         for (PortId p = 0; p < k(); ++p) {
-            const DestSet &reach = sr.downReach(p);
-            EXPECT_FALSE(reach.empty());
-            // Fat-tree subtrees are disjoint.
-            EXPECT_FALSE(seen.intersects(reach));
-            seen |= reach;
+            for (const HostRange &r : sr.downReach(p)) {
+                EXPECT_LT(r.lo, r.hi);
+                // Fat-tree subtrees are disjoint.
+                EXPECT_EQ(seen.countRange(r.lo, r.hi), 0u);
+                seen.setRange(r.lo, r.hi);
+            }
         }
         // Each switch at level l reaches exactly k^(l+1) hosts down.
         const std::size_t expect =
             static_cast<std::size_t>(std::llround(std::pow(
                 k(), t.levelOf(static_cast<SwitchId>(s)) + 1)));
         EXPECT_EQ(seen.count(), expect);
-        EXPECT_EQ(sr.allDownReach().count(), expect);
+        EXPECT_EQ(sr.downReachCount(), expect);
+    }
+}
+
+TEST_P(FatTreeShapes, EveryDownPortIsOneInterval)
+{
+    // A down port leads into one subtree, and a subtree's hosts carry
+    // consecutive ids, so its reach is a single [lo, hi) run of
+    // k^level hosts (level 0 = the host port itself).
+    FatTree t(k(), n());
+    for (std::size_t s = 0; s < t.numSwitches(); ++s) {
+        const SwitchId sw = static_cast<SwitchId>(s);
+        const SwitchRouting &sr = t.routing().at(sw);
+        const auto width = static_cast<NodeId>(
+            std::llround(std::pow(k(), t.levelOf(sw))));
+        for (PortId p = 0; p < sr.radix(); ++p) {
+            if (sr.dir(p) != PortDir::Down)
+                continue;
+            const HostRanges reach = sr.downReach(p);
+            ASSERT_EQ(reach.size(), 1u) << "switch " << s << " port " << p;
+            EXPECT_EQ(reach[0].hi - reach[0].lo, width);
+            EXPECT_EQ(reach[0].lo % width, 0);
+        }
     }
 }
 
@@ -96,7 +119,7 @@ TEST_P(FatTreeShapes, RootStageReachesEveryHost)
     for (int label = 0; label < t.switchesPerLevel(); ++label) {
         const SwitchRouting &sr =
             t.routing().at(t.switchAt(n() - 1, label));
-        EXPECT_EQ(sr.allDownReach().count(), t.numHosts());
+        EXPECT_EQ(sr.downReachCount(), t.numHosts());
         EXPECT_TRUE(sr.upPorts().empty());
     }
 }

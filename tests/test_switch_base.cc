@@ -21,8 +21,10 @@ makeRouting()
     routing.setDir(1, PortDir::Down);
     routing.setDir(2, PortDir::Up);
     routing.setDir(3, PortDir::Up);
-    routing.setDownReach(0, DestSet::of(8, {0, 1}));
-    routing.setDownReach(1, DestSet::of(8, {2, 3}));
+    const HostRange hosts01[] = {{0, 2}};
+    const HostRange hosts23[] = {{2, 4}};
+    routing.setDownReach(0, hosts01);
+    routing.setDownReach(1, hosts23);
     routing.freeze();
     return routing;
 }

@@ -70,13 +70,37 @@ TEST_P(UniMinShapes, FirstStageReachesEverythingDisjointly)
     UniMin t(k(), n());
     for (int label = 0; label < t.switchesPerStage(); ++label) {
         const SwitchRouting &sr = t.routing().at(t.switchAt(0, label));
-        EXPECT_EQ(sr.allDownReach().count(), t.numHosts());
+        EXPECT_EQ(sr.downReachCount(), t.numHosts());
         DestSet seen(t.numHosts());
         for (PortId c = 0; c < k(); ++c) {
-            const DestSet &reach = sr.downReach(c);
-            EXPECT_EQ(reach.count(), t.numHosts() / k());
-            EXPECT_FALSE(seen.intersects(reach));
-            seen |= reach;
+            std::size_t count = 0;
+            for (const HostRange &r : sr.downReach(c)) {
+                count += static_cast<std::size_t>(r.hi - r.lo);
+                EXPECT_EQ(seen.countRange(r.lo, r.hi), 0u);
+                seen.setRange(r.lo, r.hi);
+            }
+            EXPECT_EQ(count, t.numHosts() / k());
+        }
+        EXPECT_EQ(seen.count(), t.numHosts());
+    }
+}
+
+TEST_P(UniMinShapes, EveryDownPortIsOneInterval)
+{
+    // Stage s is level n-1-s of the k-ary n-tree, so each output
+    // leads into one subtree: k^(n-1-s) consecutive host ids.
+    UniMin t(k(), n());
+    for (std::size_t s = 0; s < t.numSwitches(); ++s) {
+        const SwitchId sw = static_cast<SwitchId>(s);
+        const SwitchRouting &sr = t.routing().at(sw);
+        const auto width = static_cast<NodeId>(
+            std::llround(std::pow(k(), n() - 1 - t.stageOf(sw))));
+        for (PortId p = 0; p < sr.radix(); ++p) {
+            if (sr.dir(p) != PortDir::Down)
+                continue;
+            const HostRanges reach = sr.downReach(p);
+            ASSERT_EQ(reach.size(), 1u) << "switch " << s << " port " << p;
+            EXPECT_EQ(reach[0].hi - reach[0].lo, width);
         }
     }
 }
@@ -89,7 +113,7 @@ TEST_P(UniMinShapes, ReachShrinksByKPerStage)
             t.routing().at(t.switchAt(stage, 0));
         const auto expect = static_cast<std::size_t>(
             std::llround(std::pow(k(), n() - stage)));
-        EXPECT_EQ(sr.allDownReach().count(), expect)
+        EXPECT_EQ(sr.downReachCount(), expect)
             << "stage " << stage;
     }
 }
