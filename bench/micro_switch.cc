@@ -4,8 +4,9 @@
  * loaded networks, in simulated cycles per second, for both switch
  * architectures and two system sizes; plus the flit-path primitives
  * underneath them (a loaded link, a credit loop, a central-queue
- * entry's write/read lifecycle) and the routing tables (building a
- * fat tree's tables, decoding a multicast) up to 65,536 hosts.
+ * entry's write/read lifecycle), the routing tables (building a
+ * fat tree's tables, decoding a multicast) up to 65,536 hosts, and
+ * the resident cost of a whole network and of its metrics snapshot.
  */
 
 #include <benchmark/benchmark.h>
@@ -80,7 +81,7 @@ BM_ChannelFlitRoundTrip(benchmark::State &state)
 {
     const PacketPtr pkt = benchPacket(14);
     const auto delay = static_cast<Cycle>(state.range(0));
-    Channel<Flit> link("link", delay);
+    Channel<Flit> link(delay);
     Cycle now = 0;
     for (; now < delay; ++now)
         link.send(Flit{pkt, 0, 0}, now);
@@ -99,7 +100,7 @@ void
 BM_CreditRoundTrip(benchmark::State &state)
 {
     const auto delay = static_cast<Cycle>(state.range(0));
-    CreditChannel credits("credits", delay);
+    CreditChannel credits(delay);
     Cycle now = 0;
     for (; now < delay; ++now)
         credits.send(1, now);
@@ -167,6 +168,35 @@ BENCHMARK(BM_RoutingBuild)
     ->Arg(7)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
+
+/** Build the CB-HW network of a FatTree(4, state.range(0)) as the
+ *  E14 scale curve does (multiport headers) and take one metrics
+ *  snapshot of it; heap_mb is what the network keeps, snapshot_mb
+ *  what the snapshot keeps. */
+void
+BM_NetworkBuild(benchmark::State &state)
+{
+    NetworkConfig config = networkFor(Scheme::CbHw);
+    config.fatTreeN = static_cast<int>(state.range(0));
+    config.nic.encoding = McastEncoding::Multiport;
+    double heap = 0.0;
+    double snapshot = 0.0;
+    std::size_t hosts = 0;
+    for (auto _ : state) {
+        const double before = heapInUse();
+        const Network net(config);
+        heap = heapInUse() - before;
+        const double built = heapInUse();
+        const MetricsSnapshot snap = net.metricsSnapshot();
+        snapshot = heapInUse() - built;
+        hosts = net.numHosts();
+        benchmark::DoNotOptimize(snap.size());
+    }
+    state.counters["hosts"] = static_cast<double>(hosts);
+    state.counters["heap_mb"] = heap / (1 << 20);
+    state.counters["snapshot_mb"] = snapshot / (1 << 20);
+}
+BENCHMARK(BM_NetworkBuild)->Arg(5)->Arg(6)->Unit(benchmark::kMillisecond);
 
 /** Decode a degree-8 multicast (ReplicateAfterLca) in a
  *  FatTree(4, state.range(0)), at a leaf switch (range(1) = 0), where

@@ -141,11 +141,13 @@ Network::installLinkLayers(double ber, double residual,
                 linkFlaps.push_back(w);
         }
 
-        auto attach = [&](Channel<Flit> *ch, SwitchId sw, PortId port,
-                          std::uint64_t stream) {
+        const LinkSite link{rec.a, rec.pa, rec.b, rec.pb, kInvalidNode,
+                            true, true, 0, 0};
+        auto attach = [&](Channel<Flit> *ch, const char *suffix,
+                          SwitchId sw, PortId port, std::uint64_t stream) {
             auto layer = std::make_unique<LinkLayer>(
-                ch->name(), sw, port, cfg_.linkDelay, params,
-                Rng::streamSeed(family, stream));
+                channelName(link, suffix), sw, port, cfg_.linkDelay,
+                params, Rng::streamSeed(family, stream));
             layer->setFlaps(linkFlaps);
             layer->setPoisonRegistry(resilience_->poisonRegistry());
             layer->setEscalation([this, sw, port](Cycle when) {
@@ -161,8 +163,8 @@ Network::installLinkLayers(double ber, double residual,
             linkLayers_.push_back(std::move(layer));
             return linkLayers_.back().get();
         };
-        rec.fwd = attach(rec.ab, rec.a, rec.pa, 2 * i);
-        rec.rev = attach(rec.ba, rec.b, rec.pb, 2 * i + 1);
+        rec.fwd = attach(rec.ab, ".ab", rec.a, rec.pa, 2 * i);
+        rec.rev = attach(rec.ba, ".ba", rec.b, rec.pb, 2 * i + 1);
     }
 
     // Fabric-wide rollups (per-direction counters registered above).
@@ -371,86 +373,136 @@ Network::build()
     }
 }
 
+template <typename Visit>
+std::pair<std::size_t, std::size_t>
+Network::forEachLink(Visit &&visit) const
+{
+    const PortGraph &graph = topo_->graph();
+    LinkSite site{};
+    for (std::size_t s = 0; s < graph.numSwitches(); ++s) {
+        site.a = static_cast<SwitchId>(s);
+        for (site.pa = 0; site.pa < graph.radix(site.a); ++site.pa) {
+            const PortPeer &peer = graph.peer(site.a, site.pa);
+            if (peer.isSwitch()) {
+                // Each switch-switch link once, from the lower
+                // (switch, port) endpoint.
+                if (std::make_pair(site.a, site.pa) >
+                    std::make_pair(peer.sw, peer.port))
+                    continue;
+                site.b = peer.sw;
+                site.pb = peer.port;
+                site.host = kInvalidNode;
+                site.inject = site.eject = true;
+            } else if (peer.isHost()) {
+                site.b = kInvalidSwitch;
+                site.pb = 0;
+                site.host = peer.host;
+                site.inject = peer.hostRole != PortPeer::HostRole::Eject;
+                site.eject = peer.hostRole != PortPeer::HostRole::Inject;
+            } else {
+                continue;
+            }
+            visit(site);
+            const std::size_t n = std::size_t{site.inject} + site.eject;
+            site.flit += n;
+            site.credit += n;
+        }
+    }
+    return {site.flit, site.credit};
+}
+
+template <typename Visit>
+void
+Network::forEachChannel(Visit &&visit) const
+{
+    forEachLink([&visit](const LinkSite &link) {
+        const auto a = static_cast<int>(link.a);
+        if (link.b != kInvalidSwitch) {
+            // Credits flow against the data direction: cab is sent by
+            // b as it drains a's flits.
+            const auto b = static_cast<int>(link.b);
+            visit(link, false, link.flit, a, b, ".ab");
+            visit(link, false, link.flit + 1, b, a, ".ba");
+            visit(link, true, link.credit, b, a, ".cab");
+            visit(link, true, link.credit + 1, a, b, ".cba");
+            return;
+        }
+        std::size_t f = link.flit;
+        std::size_t c = link.credit;
+        if (link.inject) {
+            visit(link, false, f++, -1, a, ".inj");
+            visit(link, true, c++, a, -1, ".cinj");
+        }
+        if (link.eject) {
+            visit(link, false, f, a, -1, ".ej");
+            visit(link, true, c, -1, a, ".cej");
+        }
+    });
+}
+
+std::string
+Network::channelName(const LinkSite &link, const char *suffix)
+{
+    std::string name;
+    if (link.b != kInvalidSwitch) {
+        name = "sw" + std::to_string(link.a) + ".p" +
+               std::to_string(link.pa) + "-sw" + std::to_string(link.b) +
+               ".p" + std::to_string(link.pb);
+    } else {
+        name = "nic" + std::to_string(link.host) + "-sw" +
+               std::to_string(link.a) + ".p" + std::to_string(link.pa);
+    }
+    return name + suffix;
+}
+
 void
 Network::wire()
 {
-    const PortGraph &graph = topo_->graph();
+    // Both arrays get their final size up front: the switches, NICs
+    // and link records keep pointers into them.
+    const auto [flits, credits] = forEachLink([](const LinkSite &) {});
+    flitChannels_.reserve(flits);
+    creditChannels_.reserve(credits);
+    for (std::size_t i = 0; i < flits; ++i)
+        flitChannels_.emplace_back(cfg_.linkDelay);
+    for (std::size_t i = 0; i < credits; ++i)
+        creditChannels_.emplace_back(cfg_.linkDelay);
 
-    // src/snk: sending/receiving switch id, or -1 for a NIC endpoint
-    // (the sharding pass uses them to find cross-shard channels).
-    auto make_flit_channel = [this](const std::string &name, int src,
-                                    int snk) {
-        flitChannels_.push_back(
-            std::make_unique<Channel<Flit>>(name, cfg_.linkDelay));
-        flitEnds_.emplace_back(src, snk);
-        return flitChannels_.back().get();
-    };
-    auto make_credit_channel = [this](const std::string &name, int src,
-                                      int snk) {
-        creditChannels_.push_back(
-            std::make_unique<CreditChannel>(name, cfg_.linkDelay));
-        creditEnds_.emplace_back(src, snk);
-        return creditChannels_.back().get();
-    };
-
-    for (std::size_t s = 0; s < graph.numSwitches(); ++s) {
-        const SwitchId a = static_cast<SwitchId>(s);
-        for (PortId pa = 0; pa < graph.radix(a); ++pa) {
-            const PortPeer &peer = graph.peer(a, pa);
-            if (peer.isSwitch()) {
-                const SwitchId b = peer.sw;
-                const PortId pb = peer.port;
-                // Wire each switch-switch link once, from the lower
-                // (switch, port) endpoint.
-                if (std::make_pair(a, pa) > std::make_pair(b, pb))
-                    continue;
-                const std::string tag = "sw" + std::to_string(a) + ".p" +
-                                        std::to_string(pa) + "-sw" +
-                                        std::to_string(b) + ".p" +
-                                        std::to_string(pb);
-                auto *ab = make_flit_channel(tag + ".ab", a, b);
-                auto *ba = make_flit_channel(tag + ".ba", b, a);
-                // Credits flow against the data direction: cr_ab is
-                // sent by b (as it drains a's flits) back to a.
-                auto *cr_ab = make_credit_channel(tag + ".cab", b, a);
-                auto *cr_ba = make_credit_channel(tag + ".cba", a, b);
-                // Remember the link's identity so the transient-fault
-                // subsystem can attach per-direction ARQ layers.
-                linkRecords_.push_back(
-                    LinkRecord{a, pa, b, pb, ab, ba, nullptr, nullptr});
-                // a -> b data, with b returning credits on cr_ab.
-                switches_[a]->connectOut(pa, ab, cr_ab,
-                                         switches_[b]->receivePolicy(pb));
-                switches_[b]->connectIn(pb, ab, cr_ab);
-                // b -> a data, with a returning credits on cr_ba.
-                switches_[b]->connectOut(pb, ba, cr_ba,
-                                         switches_[a]->receivePolicy(pa));
-                switches_[a]->connectIn(pa, ba, cr_ba);
-            } else if (peer.isHost()) {
-                const NodeId h = peer.host;
-                Nic *nic = nics_[static_cast<std::size_t>(h)].get();
-                const std::string tag = "nic" + std::to_string(h) +
-                                        "-sw" + std::to_string(a) +
-                                        ".p" + std::to_string(pa);
-                if (peer.hostRole != PortPeer::HostRole::Eject) {
-                    auto *inj = make_flit_channel(tag + ".inj", -1, a);
-                    auto *cr_inj =
-                        make_credit_channel(tag + ".cinj", a, -1);
-                    nic->connectTx(inj, cr_inj,
-                                   switches_[a]->receivePolicy(pa));
-                    switches_[a]->connectIn(pa, inj, cr_inj);
-                }
-                if (peer.hostRole != PortPeer::HostRole::Inject) {
-                    auto *ej = make_flit_channel(tag + ".ej", a, -1);
-                    auto *cr_ej =
-                        make_credit_channel(tag + ".cej", -1, a);
-                    switches_[a]->connectOut(pa, ej, cr_ej,
-                                             nic->receivePolicy());
-                    nic->connectRx(ej, cr_ej);
-                }
-            }
+    forEachLink([this](const LinkSite &link) {
+        Channel<Flit> *flit = &flitChannels_[link.flit];
+        CreditChannel *credit = &creditChannels_[link.credit];
+        SwitchBase &a = *switches_[static_cast<std::size_t>(link.a)];
+        if (link.b != kInvalidSwitch) {
+            SwitchBase &b = *switches_[static_cast<std::size_t>(link.b)];
+            Channel<Flit> *ab = flit;
+            Channel<Flit> *ba = flit + 1;
+            CreditChannel *cr_ab = credit;
+            CreditChannel *cr_ba = credit + 1;
+            // Remember the link's identity so the transient-fault
+            // subsystem can attach per-direction ARQ layers.
+            linkRecords_.push_back(LinkRecord{link.a, link.pa, link.b,
+                                              link.pb, ab, ba, nullptr,
+                                              nullptr});
+            // a -> b data, with b returning credits on cr_ab.
+            a.connectOut(link.pa, ab, cr_ab, b.receivePolicy(link.pb));
+            b.connectIn(link.pb, ab, cr_ab);
+            // b -> a data, with a returning credits on cr_ba.
+            b.connectOut(link.pb, ba, cr_ba, a.receivePolicy(link.pa));
+            a.connectIn(link.pa, ba, cr_ba);
+            return;
         }
-    }
+        Nic &nic = *nics_[static_cast<std::size_t>(link.host)];
+        if (link.inject) {
+            nic.connectTx(flit, credit, a.receivePolicy(link.pa));
+            a.connectIn(link.pa, flit, credit);
+            ++flit;
+            ++credit;
+        }
+        if (link.eject) {
+            a.connectOut(link.pa, flit, credit, nic.receivePolicy());
+            nic.connectRx(flit, credit);
+        }
+    });
 }
 
 void
@@ -504,20 +556,18 @@ Network::setupSharding()
                       : shardPlan_.switchShard[static_cast<std::size_t>(
                             sw)];
     };
-    for (std::size_t i = 0; i < flitChannels_.size(); ++i) {
-        const auto [src, snk] = flitEnds_[i];
+    forEachChannel([&](const LinkSite &, bool credit, std::size_t index,
+                       int src, int snk, const char *) {
         if (src < 0 || shardOfEnd(src) == shardOfEnd(snk))
-            continue;
-        flitChannels_[i]->setBoundary(&sim_, shardOfEnd(src));
-        boundaryFlit_.push_back(flitChannels_[i].get());
-    }
-    for (std::size_t i = 0; i < creditChannels_.size(); ++i) {
-        const auto [src, snk] = creditEnds_[i];
-        if (src < 0 || shardOfEnd(src) == shardOfEnd(snk))
-            continue;
-        creditChannels_[i]->setBoundary(&sim_, shardOfEnd(src));
-        boundaryCredit_.push_back(creditChannels_[i].get());
-    }
+            return;
+        if (credit) {
+            creditChannels_[index].setBoundary(&sim_, shardOfEnd(src));
+            boundaryCredit_.push_back(&creditChannels_[index]);
+        } else {
+            flitChannels_[index].setBoundary(&sim_, shardOfEnd(src));
+            boundaryFlit_.push_back(&flitChannels_[index]);
+        }
+    });
     if (telemetry_.tracer() != nullptr)
         telemetry_.tracer()->setShards(shards);
     sim_.setSharding(std::move(shardOf), shards, threads);
@@ -655,14 +705,14 @@ Network::registerTelemetry()
     });
     reg.registerIntGauge(top, "sim.channels.flit_sends", [this] {
         std::uint64_t total = 0;
-        for (const auto &ch : flitChannels_)
-            total += ch->totalSends();
+        for (const Channel<Flit> &ch : flitChannels_)
+            total += ch.totalSends();
         return total;
     });
     reg.registerIntGauge(top, "sim.channels.credit_sends", [this] {
         std::uint64_t total = 0;
-        for (const auto &ch : creditChannels_)
-            total += ch->totalSends();
+        for (const CreditChannel &ch : creditChannels_)
+            total += ch.totalSends();
         return total;
     });
 }
@@ -778,13 +828,33 @@ Network::checkQuiescent(std::string *why) const
             *why += reason;
         }
     };
-    for (const auto &ch : flitChannels_) {
-        if (ch->inFlight() != 0)
-            complain(ch->name() + ": flits in flight");
-    }
-    for (const auto &ch : creditChannels_) {
-        if (ch->inFlight() != 0)
-            complain(ch->name() + ": credits in flight");
+    const auto busy = [this](bool credit, std::size_t i) {
+        return credit ? creditChannels_[i].inFlight() != 0
+                      : flitChannels_[i].inFlight() != 0;
+    };
+    const auto loaded = [](const auto &ch) { return ch.inFlight() != 0; };
+    if (std::any_of(flitChannels_.begin(), flitChannels_.end(), loaded) ||
+        std::any_of(creditChannels_.begin(), creditChannels_.end(),
+                    loaded)) {
+        ok = false;
+        if (why) {
+            // Names are rendered from the wiring, and only for the
+            // channels reported: every flit channel, then every
+            // credit channel, each in slot order.
+            std::vector<std::string> flits;
+            std::vector<std::string> credits;
+            forEachChannel([&](const LinkSite &link, bool credit,
+                               std::size_t index, int, int,
+                               const char *suffix) {
+                if (busy(credit, index))
+                    (credit ? credits : flits)
+                        .push_back(channelName(link, suffix));
+            });
+            for (const std::string &name : flits)
+                complain(name + ": flits in flight");
+            for (const std::string &name : credits)
+                complain(name + ": credits in flight");
+        }
     }
     for (const auto &sw : switches_) {
         if (!sw->quiescent(why))

@@ -304,6 +304,43 @@ class Network
         LinkLayer *rev = nullptr; ///< guards ba (sender b)
     };
 
+    /**
+     * One link as wire() lays it out, with the slots of its first
+     * flit and credit channel. A switch-switch link (b valid) owns
+     * channels ab, ba and credit channels cab, cba; a host link owns
+     * inj/cinj when it injects, then ej/cej when it ejects.
+     */
+    struct LinkSite
+    {
+        SwitchId a;
+        PortId pa;
+        /** Far switch end, or kInvalidSwitch on a host link. */
+        SwitchId b;
+        PortId pb;
+        NodeId host;
+        bool inject;
+        bool eject;
+        std::size_t flit;
+        std::size_t credit;
+    };
+
+    /** Visit every link in wiring order; returns the flit and credit
+     *  channel counts. */
+    template <typename Visit>
+    std::pair<std::size_t, std::size_t> forEachLink(Visit &&visit) const;
+
+    /**
+     * Visit every channel in slot order within each array:
+     * visit(link, credit, slot, src, snk, suffix), with src/snk the
+     * sending and receiving switch (-1 = a NIC).
+     */
+    template <typename Visit> void forEachChannel(Visit &&visit) const;
+
+    /** Diagnostic name of @p link's channel @p suffix (".ab",
+     *  ".cinj", ...), e.g. "sw0.p4-sw4.p0.ab" or "nic1-sw0.p1.ej". */
+    static std::string channelName(const LinkSite &link,
+                                   const char *suffix);
+
     void build();
     void wire();
     void setupSharding();
@@ -328,12 +365,10 @@ class Network
 
     std::vector<std::unique_ptr<SwitchBase>> switches_;
     std::vector<std::unique_ptr<Nic>> nics_;
-    std::vector<std::unique_ptr<Channel<Flit>>> flitChannels_;
-    std::vector<std::unique_ptr<CreditChannel>> creditChannels_;
-    /** Sending/receiving switch of each channel, by channel index
-     *  (-1 = a NIC endpoint). Drives boundary-channel selection. */
-    std::vector<std::pair<int, int>> flitEnds_;
-    std::vector<std::pair<int, int>> creditEnds_;
+    /** Every channel, sized once by wire() (switches and NICs hold
+     *  pointers into them); forEachChannel() names their slots. */
+    std::vector<Channel<Flit>> flitChannels_;
+    std::vector<CreditChannel> creditChannels_;
     std::vector<LinkRecord> linkRecords_;
 
     ShardPlan shardPlan_;

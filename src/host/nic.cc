@@ -566,7 +566,7 @@ Nic::stepRx(Cycle now)
 void
 Nic::deliver(const PacketPtr &pkt, Cycle now)
 {
-    MDW_ASSERT(pkt->dests.count() == 1 && pkt->dests.test(id_),
+    MDW_ASSERT(pkt->dests.containsOnly(id_),
                "NIC %d received a packet for someone else "
                "(dest count %zu)",
                id_, pkt->dests.count());

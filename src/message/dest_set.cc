@@ -27,6 +27,20 @@ forRangeWords(NodeId lo, NodeId hi, Fn &&fn)
     fn(last, hi_mask);
 }
 
+/**
+ * Population count of one word. The build targets baseline x86-64
+ * (no -mpopcnt), where __builtin_popcountll becomes a call into
+ * libgcc; this SWAR reduction stays inline.
+ */
+inline std::size_t
+popcount(std::uint64_t x)
+{
+    x -= (x >> 1) & 0x5555555555555555ULL;
+    x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+    x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+    return static_cast<std::size_t>((x * 0x0101010101010101ULL) >> 56);
+}
+
 } // namespace
 
 DestSet::DestSet(std::size_t size)
@@ -99,8 +113,22 @@ DestSet::count() const
 {
     std::size_t total = 0;
     for (auto w : words_)
-        total += static_cast<std::size_t>(__builtin_popcountll(w));
+        total += popcount(w);
     return total;
+}
+
+bool
+DestSet::containsOnly(NodeId id) const
+{
+    checkId(id);
+    const auto home = static_cast<std::size_t>(id) / 64;
+    if (words_[home] != 1ULL << (id % 64))
+        return false;
+    for (std::size_t w = 0; w < words_.size(); ++w) {
+        if (w != home && words_[w] != 0)
+            return false;
+    }
+    return true;
 }
 
 bool
@@ -176,7 +204,7 @@ DestSet::countRange(NodeId lo, NodeId hi) const
     checkRange(lo, hi);
     std::size_t total = 0;
     forRangeWords(lo, hi, [this, &total](std::size_t w, std::uint64_t m) {
-        total += static_cast<std::size_t>(__builtin_popcountll(words_[w] & m));
+        total += popcount(words_[w] & m);
     });
     return total;
 }

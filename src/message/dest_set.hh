@@ -43,6 +43,10 @@ class DestSet
     /** Number of members. */
     std::size_t count() const;
 
+    /** True if @p id is the only member; stops at the first word
+     *  holding another member. */
+    bool containsOnly(NodeId id) const;
+
     bool empty() const;
 
     /** True if every member of this set is also in @p other. */

@@ -2,23 +2,19 @@
 
 namespace mdw {
 
-CreditChannel::CreditChannel(std::string name, Cycle delay)
-    : name_(std::move(name)), delay_(delay)
+CreditChannel::CreditChannel(Cycle delay) : delay_(delay)
 {
-    MDW_ASSERT(delay_ >= 1, "credit channel %s: delay must be >= 1",
-               name_.c_str());
+    MDW_ASSERT(delay_ >= 1, "credit channel: delay must be >= 1");
 }
 
 void
 CreditChannel::send(int count, Cycle now, int lane)
 {
-    MDW_ASSERT(count > 0, "credit channel %s: non-positive grant %d",
-               name_.c_str(), count);
-    MDW_ASSERT(lane >= 0, "credit channel %s: negative lane %d",
-               name_.c_str(), lane);
+    MDW_ASSERT(count > 0, "credit channel: non-positive grant %d", count);
+    MDW_ASSERT(lane >= 0, "credit channel: negative lane %d", lane);
     const Cycle ready = now + delay_;
     totalSends_ += static_cast<std::uint64_t>(count);
-    if (boundary_) {
+    if (registrar_ != nullptr) {
         // inFlight_ is charged at the barrier flush, not here: the
         // sink's shard decrements it in receive(), so the sending
         // shard must not touch it mid-phase (the two run
@@ -60,11 +56,9 @@ CreditChannel::setBoundary(BoundaryRegistrar *registrar,
                            std::uint32_t srcShard)
 {
     MDW_ASSERT(pending_.empty(),
-               "credit channel %s: mode change with buffered grants",
-               name_.c_str());
+               "credit channel: mode change with buffered grants");
     registrar_ = registrar;
     srcShard_ = srcShard;
-    boundary_ = registrar != nullptr;
 }
 
 std::size_t
@@ -101,16 +95,16 @@ CreditChannel::receive(Cycle now)
 }
 
 int
-CreditChannel::receiveByLane(Cycle now, std::vector<int> &laneCounts)
+CreditChannel::receiveByLane(Cycle now, std::span<int> laneCounts)
 {
     int total = 0;
     while (!queue_.empty() && queue_.front().ready <= now) {
         const Entry &front = queue_.front();
         MDW_ASSERT(front.lane <
                        static_cast<int>(laneCounts.size()),
-                   "credit channel %s: grant on lane %d but receiver "
+                   "credit channel: grant on lane %d but receiver "
                    "runs %zu lanes",
-                   name_.c_str(), front.lane, laneCounts.size());
+                   front.lane, laneCounts.size());
         laneCounts[static_cast<std::size_t>(front.lane)] +=
             front.count;
         total += front.count;

@@ -10,12 +10,16 @@
  * A data Channel models a physical link: at most one item (flit) may
  * be sent per cycle. A CreditChannel carries flow-control credits in
  * the reverse direction and may batch several credits per cycle.
+ *
+ * Channels carry no name: a Network holds tens of thousands of them
+ * in two contiguous arrays and renders a channel's diagnostic name
+ * from the wiring only when a report needs it.
  */
 
 #ifndef MDW_SIM_CHANNEL_HH
 #define MDW_SIM_CHANNEL_HH
 
-#include <string>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -70,26 +74,19 @@ template <typename T>
 class Channel : public BoundaryChannel
 {
   public:
-    /**
-     * @param name Diagnostic name.
-     * @param delay Cycles between send and earliest receive (>= 1).
-     */
-    explicit Channel(std::string name, Cycle delay = 1)
-        : name_(std::move(name)), delay_(delay)
+    /** @param delay Cycles between send and earliest receive (>= 1). */
+    explicit Channel(Cycle delay = 1) : delay_(delay)
     {
-        MDW_ASSERT(delay_ >= 1, "channel %s: delay must be >= 1",
-                   name_.c_str());
+        MDW_ASSERT(delay_ >= 1, "channel: delay must be >= 1");
     }
 
     /** Send one item; at most one send per cycle is legal. */
     void
     send(T item, Cycle now)
     {
-        MDW_ASSERT(lastSend_ != now || !sentYet_,
-                   "channel %s: two sends in cycle %llu", name_.c_str(),
+        MDW_ASSERT(lastSend_ != now, "channel: two sends in cycle %llu",
                    static_cast<unsigned long long>(now));
         lastSend_ = now;
-        sentYet_ = true;
         ++totalSends_;
         Cycle arrival = now + delay_;
         if (hook_ != nullptr) {
@@ -97,14 +94,12 @@ class Channel : public BoundaryChannel
             if (arrival == kNoCycle)
                 return; // dropped on a dead/escalated link
             MDW_ASSERT(arrival >= now + delay_,
-                       "channel %s: hook arrival before wire delay",
-                       name_.c_str());
+                       "channel: hook arrival before wire delay");
             MDW_ASSERT(queue_.empty() ||
                            arrival >= queue_.back().ready,
-                       "channel %s: hook broke FIFO arrival order",
-                       name_.c_str());
+                       "channel: hook broke FIFO arrival order");
         }
-        if (boundary_) {
+        if (registrar_ != nullptr) {
             pending_.push_back(Entry{arrival, std::move(item)});
             if (!dirty_) {
                 dirty_ = true;
@@ -125,14 +120,11 @@ class Channel : public BoundaryChannel
     setBoundary(BoundaryRegistrar *registrar, std::uint32_t srcShard)
     {
         MDW_ASSERT(registrar == nullptr || hook_ == nullptr,
-                   "channel %s: boundary mode with a link hook",
-                   name_.c_str());
+                   "channel: boundary mode with a link hook");
         MDW_ASSERT(pending_.empty(),
-                   "channel %s: mode change with buffered sends",
-                   name_.c_str());
+                   "channel: mode change with buffered sends");
         registrar_ = registrar;
         srcShard_ = srcShard;
-        boundary_ = registrar != nullptr;
     }
 
     // BoundaryChannel: barrier drain (main thread; the sending shard
@@ -161,9 +153,8 @@ class Channel : public BoundaryChannel
     void
     setHook(ChannelHook<T> *hook)
     {
-        MDW_ASSERT(hook == nullptr || !boundary_,
-                   "channel %s: link hook in boundary mode",
-                   name_.c_str());
+        MDW_ASSERT(hook == nullptr || registrar_ == nullptr,
+                   "channel: link hook in boundary mode");
         hook_ = hook;
     }
     ChannelHook<T> *hook() const { return hook_; }
@@ -191,11 +182,7 @@ class Channel : public BoundaryChannel
     }
 
     /** True if send() was already called this cycle. */
-    bool
-    busy(Cycle now) const
-    {
-        return sentYet_ && lastSend_ == now;
-    }
+    bool busy(Cycle now) const { return lastSend_ == now; }
 
     /** Pointer to the oldest item that has arrived, or nullptr. */
     const T *
@@ -211,8 +198,7 @@ class Channel : public BoundaryChannel
     receive(Cycle now)
     {
         MDW_ASSERT(peek(now) != nullptr,
-                   "channel %s: receive with nothing arrived",
-                   name_.c_str());
+                   "channel: receive with nothing arrived");
         T item = std::move(queue_.front().item);
         queue_.pop_front();
         if (hook_ != nullptr)
@@ -229,9 +215,6 @@ class Channel : public BoundaryChannel
 
     /** Items ever sent over the channel's lifetime. */
     std::uint64_t totalSends() const { return totalSends_; }
-
-    /** Diagnostic name. */
-    const std::string &name() const { return name_; }
 
     /** Channel delay in cycles. */
     Cycle delay() const { return delay_; }
@@ -253,21 +236,19 @@ class Channel : public BoundaryChannel
             sink_->requestWake(arrival);
     }
 
-    std::string name_;
-    Cycle delay_;
     Ring<Entry> queue_;
-    Cycle lastSend_ = 0;
-    bool sentYet_ = false;
+    Cycle delay_;
+    /** Cycle of the last send; kNoCycle before the first. */
+    Cycle lastSend_ = kNoCycle;
     std::uint64_t totalSends_ = 0;
     Component *sink_ = nullptr;
     Cycle *hint_ = nullptr;
     ChannelHook<T> *hook_ = nullptr;
-    // Boundary mode: mailbox written only by the sending shard's
-    // thread, drained only at the barrier.
+    // Boundary mode (registrar_ set): mailbox written only by the
+    // sending shard's thread, drained only at the barrier.
     std::vector<Entry> pending_;
     BoundaryRegistrar *registrar_ = nullptr;
     std::uint32_t srcShard_ = 0;
-    bool boundary_ = false;
     bool dirty_ = false;
 };
 
@@ -283,7 +264,7 @@ class Channel : public BoundaryChannel
 class CreditChannel : public BoundaryChannel
 {
   public:
-    explicit CreditChannel(std::string name, Cycle delay = 1);
+    explicit CreditChannel(Cycle delay = 1);
 
     /** Grant @p count credits for @p lane, visible after delay. */
     void send(int count, Cycle now, int lane = 0);
@@ -297,7 +278,7 @@ class CreditChannel : public BoundaryChannel
      * each grant into @p laneCounts[lane]. @p laneCounts must span
      * every lane the sender grants on. Returns the total collected.
      */
-    int receiveByLane(Cycle now, std::vector<int> &laneCounts);
+    int receiveByLane(Cycle now, std::span<int> laneCounts);
 
     /** Switch to boundary mode (see Channel); null reverts. */
     void setBoundary(BoundaryRegistrar *registrar,
@@ -328,8 +309,6 @@ class CreditChannel : public BoundaryChannel
     /** Credits ever granted over the channel's lifetime. */
     std::uint64_t totalSends() const { return totalSends_; }
 
-    const std::string &name() const { return name_; }
-
   private:
     struct Entry
     {
@@ -341,17 +320,16 @@ class CreditChannel : public BoundaryChannel
     /** A grant arriving at @p arrival became receiver-visible. */
     void noteArrival(Cycle arrival);
 
-    std::string name_;
-    Cycle delay_;
     Ring<Entry> queue_;
-    int inFlight_ = 0;
+    Cycle delay_;
     std::uint64_t totalSends_ = 0;
     Component *sink_ = nullptr;
     Cycle *hint_ = nullptr;
+    /** Boundary mode (registrar_ set): see Channel. */
     std::vector<Entry> pending_;
     BoundaryRegistrar *registrar_ = nullptr;
     std::uint32_t srcShard_ = 0;
-    bool boundary_ = false;
+    int inFlight_ = 0;
     bool dirty_ = false;
 };
 

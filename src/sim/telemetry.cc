@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cinttypes>
 #include <cstdio>
+#include <cstring>
 #include <iterator>
 
 #include "sim/logging.hh"
@@ -138,52 +139,100 @@ MetricValue::identical(const MetricValue &other) const
 // MetricsSnapshot
 // ---------------------------------------------------------------------
 
-namespace {
-
-using Entry = MetricsSnapshot::Entry;
-
-bool
-nameBefore(const Entry &entry, std::string_view name)
+MetricValue
+MetricsSnapshot::valueOf(const Entry &e) const
 {
-    return std::string_view(entry.first) < name;
+    switch (e.kind) {
+      case MetricValue::Kind::Counter:
+        return MetricValue::makeCounter(e.counter);
+      case MetricValue::Kind::Gauge:
+        return MetricValue::makeGauge(e.gauge);
+      case MetricValue::Kind::Sampler:
+        break;
+    }
+    return MetricValue::makeSampler(samplers_[e.sampler]);
 }
 
-} // namespace
+void
+MetricsSnapshot::store(Entry &e, const MetricValue &value)
+{
+    switch (value.kind) {
+      case MetricValue::Kind::Counter:
+        e.counter = value.counter;
+        break;
+      case MetricValue::Kind::Gauge:
+        e.gauge = value.gauge;
+        break;
+      case MetricValue::Kind::Sampler:
+        if (e.kind == MetricValue::Kind::Sampler) {
+            samplers_[e.sampler] = value.sampler;
+        } else {
+            e.sampler = samplers_.size();
+            samplers_.push_back(value.sampler);
+        }
+        break;
+    }
+    e.kind = value.kind;
+}
 
-const MetricValue *
+MetricsSnapshot::Entry
+MetricsSnapshot::nameEntry(std::string_view name)
+{
+    MDW_ASSERT(name.size() <= UINT16_MAX &&
+                   names_.size() + name.size() <= UINT32_MAX,
+               "metric name '%.*s' does not fit the snapshot arena",
+               static_cast<int>(name.size()), name.data());
+    Entry e{};
+    e.offset = static_cast<std::uint32_t>(names_.size());
+    e.length = static_cast<std::uint16_t>(name.size());
+    names_.append(name);
+    return e;
+}
+
+const MetricsSnapshot::Entry *
+MetricsSnapshot::locate(std::string_view name) const
+{
+    const auto it = std::lower_bound(
+        entries_.begin(), entries_.end(), name,
+        [this](const Entry &e, std::string_view n) { return nameOf(e) < n; });
+    if (it == entries_.end() || nameOf(*it) != name)
+        return nullptr;
+    return &*it;
+}
+
+std::optional<MetricValue>
 MetricsSnapshot::find(std::string_view name) const
 {
-    const auto it = std::lower_bound(entries_.begin(), entries_.end(),
-                                     name, nameBefore);
-    if (it == entries_.end() || it->first != name)
-        return nullptr;
-    return &it->second;
+    const Entry *e = locate(name);
+    if (e == nullptr)
+        return std::nullopt;
+    return valueOf(*e);
 }
 
 std::uint64_t
 MetricsSnapshot::counter(std::string_view name) const
 {
-    const MetricValue *value = find(name);
-    if (value == nullptr)
+    const Entry *e = locate(name);
+    if (e == nullptr || e->kind == MetricValue::Kind::Sampler)
         return 0;
-    if (value->kind == MetricValue::Kind::Gauge)
-        return static_cast<std::uint64_t>(value->gauge);
-    return value->counter;
+    if (e->kind == MetricValue::Kind::Gauge)
+        return static_cast<std::uint64_t>(e->gauge);
+    return e->counter;
 }
 
 double
 MetricsSnapshot::gauge(std::string_view name) const
 {
-    const MetricValue *value = find(name);
-    if (value == nullptr)
+    const Entry *e = locate(name);
+    if (e == nullptr)
         return 0.0;
-    switch (value->kind) {
+    switch (e->kind) {
       case MetricValue::Kind::Counter:
-        return static_cast<double>(value->counter);
+        return static_cast<double>(e->counter);
       case MetricValue::Kind::Gauge:
-        return value->gauge;
+        return e->gauge;
       case MetricValue::Kind::Sampler:
-        return value->sampler.mean();
+        return samplers_[e->sampler].mean();
     }
     return 0.0;
 }
@@ -192,21 +241,26 @@ const Sampler &
 MetricsSnapshot::sampler(std::string_view name) const
 {
     static const Sampler empty;
-    const MetricValue *value = find(name);
-    if (value == nullptr || value->kind != MetricValue::Kind::Sampler)
+    const Entry *e = locate(name);
+    if (e == nullptr || e->kind != MetricValue::Kind::Sampler)
         return empty;
-    return value->sampler;
+    return samplers_[e->sampler];
 }
 
 void
-MetricsSnapshot::set(std::string_view name, MetricValue value)
+MetricsSnapshot::set(std::string_view name, const MetricValue &value)
 {
-    const auto it = std::lower_bound(entries_.begin(), entries_.end(),
-                                     name, nameBefore);
-    if (it != entries_.end() && it->first == name)
-        it->second = std::move(value);
-    else
-        entries_.emplace(it, std::string(name), std::move(value));
+    const auto it = std::lower_bound(
+        entries_.begin(), entries_.end(), name,
+        [this](const Entry &e, std::string_view n) { return nameOf(e) < n; });
+    if (it != entries_.end() && nameOf(*it) == name) {
+        store(*it, value);
+        return;
+    }
+    const auto at = it - entries_.begin();
+    Entry e = nameEntry(name);
+    store(e, value);
+    entries_.insert(entries_.begin() + at, e);
 }
 
 void
@@ -231,10 +285,10 @@ std::uint64_t
 MetricsSnapshot::sumCounters(std::string_view suffix) const
 {
     std::uint64_t total = 0;
-    for (const auto &[name, value] : entries_) {
-        if (value.kind == MetricValue::Kind::Counter &&
-            std::string_view(name).ends_with(suffix)) {
-            total += value.counter;
+    for (const Entry &e : entries_) {
+        if (e.kind == MetricValue::Kind::Counter &&
+            nameOf(e).ends_with(suffix)) {
+            total += e.counter;
         }
     }
     return total;
@@ -243,35 +297,46 @@ MetricsSnapshot::sumCounters(std::string_view suffix) const
 void
 MetricsSnapshot::merge(const MetricsSnapshot &other)
 {
-    // One pass over both sorted vectors: own entries move across,
-    // shared names merge, names only @p other has are copied in.
+    // One pass over both sorted entry lists: own entries carry
+    // across, shared names merge, names only @p other has are
+    // appended to this arena (entries hold offsets, so the arena
+    // need not stay sorted).
     std::vector<Entry> out;
-    out.reserve(entries_.size());
-    auto mine = entries_.begin();
+    out.reserve(std::max(entries_.size(), other.entries_.size()));
+    std::size_t mine = 0;
     for (const Entry &theirs : other.entries_) {
-        while (mine != entries_.end() && mine->first < theirs.first)
-            out.push_back(std::move(*mine++));
-        if (mine != entries_.end() && mine->first == theirs.first) {
-            mine->second.merge(theirs.second);
-            out.push_back(std::move(*mine++));
+        const std::string_view name = other.nameOf(theirs);
+        while (mine < entries_.size() && nameOf(entries_[mine]) < name)
+            out.push_back(entries_[mine++]);
+        if (mine < entries_.size() && nameOf(entries_[mine]) == name) {
+            MetricValue merged = valueOf(entries_[mine]);
+            merged.merge(other.valueOf(theirs));
+            store(entries_[mine], merged);
+            out.push_back(entries_[mine++]);
         } else {
-            out.push_back(theirs);
+            Entry e = nameEntry(name);
+            store(e, other.valueOf(theirs));
+            out.push_back(e);
         }
     }
-    out.insert(out.end(), std::make_move_iterator(mine),
-               std::make_move_iterator(entries_.end()));
+    out.insert(out.end(), entries_.begin() + static_cast<std::ptrdiff_t>(mine),
+               entries_.end());
     entries_ = std::move(out);
 }
 
 bool
 MetricsSnapshot::identical(const MetricsSnapshot &other) const
 {
-    return std::equal(entries_.begin(), entries_.end(),
-                      other.entries_.begin(), other.entries_.end(),
-                      [](const Entry &a, const Entry &b) {
-                          return a.first == b.first &&
-                                 a.second.identical(b.second);
-                      });
+    if (entries_.size() != other.entries_.size())
+        return false;
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+        const Entry &a = entries_[i];
+        const Entry &b = other.entries_[i];
+        if (nameOf(a) != other.nameOf(b) ||
+            !valueOf(a).identical(other.valueOf(b)))
+            return false;
+    }
+    return true;
 }
 
 std::string
@@ -279,22 +344,22 @@ MetricsSnapshot::toJson() const
 {
     std::string out = "{";
     bool first = true;
-    for (const auto &[name, value] : entries_) {
+    for (const Entry &e : entries_) {
         if (!first)
             out += ",";
         first = false;
         out += "\"";
-        out += name;
+        out += nameOf(e);
         out += "\":";
-        switch (value.kind) {
+        switch (e.kind) {
           case MetricValue::Kind::Counter:
-            out += jsonNumber(value.counter);
+            out += jsonNumber(e.counter);
             break;
           case MetricValue::Kind::Gauge:
-            out += jsonNumber(value.gauge);
+            out += jsonNumber(e.gauge);
             break;
           case MetricValue::Kind::Sampler:
-            out += samplerJson(value.sampler);
+            out += samplerJson(samplers_[e.sampler]);
             break;
         }
     }
@@ -435,84 +500,104 @@ MetricsRegistry::appendScope(std::string &out, ScopeId id) const
     out.append(digits, end);
 }
 
-std::vector<MetricsRegistry::Name>
-MetricsRegistry::render(std::string &buf) const
+void
+MetricsRegistry::render(MetricsSnapshot &snap) const
 {
-    std::vector<Name> names;
-    names.reserve(metrics_.size());
+    // Size the arena exactly first: every scope's rendered length
+    // (parents precede their children), then each metric's name.
+    std::vector<std::uint32_t> scopeLength(scopes_.size(), 0);
+    for (std::size_t id = 1; id < scopes_.size(); ++id) {
+        const Scope &s = scopes_[id];
+        char digits[16];
+        const auto end = std::to_chars(digits, digits + sizeof(digits),
+                                       s.index).ptr;
+        scopeLength[id] =
+            static_cast<std::uint32_t>(std::strlen(s.label) +
+                                       static_cast<std::size_t>(
+                                           end - digits)) +
+            (s.parent != kRoot ? scopeLength[s.parent] + 1 : 0);
+    }
+    std::size_t total = 0;
+    for (const Metric &m : metrics_) {
+        total += std::strlen(m.leaf) +
+                 (m.scope != kRoot ? scopeLength[m.scope] + 1 : 0);
+        if (m.kind == Source::TimeAvg)
+            total += 4;
+        else if (m.kind == Source::TimePeak)
+            total += 5;
+    }
+    snap.names_.reserve(total);
+    snap.entries_.reserve(metrics_.size());
+
+    std::string name;
     for (std::size_t i = 0; i < metrics_.size(); ++i) {
         const Metric &m = metrics_[i];
-        const std::size_t offset = buf.size();
+        name.clear();
         if (m.scope != kRoot) {
-            appendScope(buf, m.scope);
-            buf += '.';
+            appendScope(name, m.scope);
+            name += '.';
         }
-        buf += m.leaf;
+        name += m.leaf;
         if (m.kind == Source::TimeAvg)
-            buf += ".avg";
+            name += ".avg";
         else if (m.kind == Source::TimePeak)
-            buf += ".peak";
-        names.push_back(Name{static_cast<std::uint32_t>(offset),
-                             static_cast<std::uint32_t>(buf.size() -
-                                                        offset),
-                             static_cast<std::uint32_t>(i)});
+            name += ".peak";
+        MetricsSnapshot::Entry e = snap.nameEntry(name);
+        e.counter = i;
+        snap.entries_.push_back(e);
     }
-    const auto view = [&buf](const Name &n) {
-        return std::string_view(buf).substr(n.offset, n.length);
-    };
-    std::sort(names.begin(), names.end(),
-              [&view](const Name &a, const Name &b) {
-                  return view(a) < view(b);
+    using Entry = MetricsSnapshot::Entry;
+    std::sort(snap.entries_.begin(), snap.entries_.end(),
+              [&snap](const Entry &a, const Entry &b) {
+                  return snap.nameOf(a) < snap.nameOf(b);
               });
     const auto dup = std::adjacent_find(
-        names.begin(), names.end(), [&view](const Name &a, const Name &b) {
-            return view(a) == view(b);
+        snap.entries_.begin(), snap.entries_.end(),
+        [&snap](const Entry &a, const Entry &b) {
+            return snap.nameOf(a) == snap.nameOf(b);
         });
-    if (dup != names.end()) {
+    if (dup != snap.entries_.end()) {
         fatal("metric '%s' registered twice",
-              std::string(view(*dup)).c_str());
+              std::string(snap.nameOf(*dup)).c_str());
     }
-    return names;
 }
 
 MetricsSnapshot
 MetricsRegistry::snapshot() const
 {
-    std::string buf;
-    const std::vector<Name> names = render(buf);
-    const Cycle now = now_ ? now_() : Cycle{0};
     MetricsSnapshot snap;
-    snap.entries_.reserve(names.size());
-    for (const Name &n : names) {
-        const Metric &m = metrics_[n.metric];
-        MetricValue value;
+    render(snap);
+    const Cycle now = now_ ? now_() : Cycle{0};
+    for (MetricsSnapshot::Entry &e : snap.entries_) {
+        const Metric &m = metrics_[e.counter];
         switch (m.kind) {
           case Source::Counter:
-            value = MetricValue::makeCounter(
-                static_cast<const Counter *>(m.source)->value());
+            snap.store(e, MetricValue::makeCounter(
+                              static_cast<const Counter *>(m.source)
+                                  ->value()));
             break;
           case Source::Sampler:
-            value = MetricValue::makeSampler(
-                *static_cast<const Sampler *>(m.source));
+            snap.store(e, MetricValue::makeSampler(
+                              *static_cast<const Sampler *>(m.source)));
             break;
           case Source::TimeAvg:
-            value = MetricValue::makeGauge(
-                static_cast<const TimeAverage *>(m.source)->average(now));
+            snap.store(e, MetricValue::makeGauge(
+                              static_cast<const TimeAverage *>(m.source)
+                                  ->average(now)));
             break;
           case Source::TimePeak:
-            value = MetricValue::makeGauge(
-                static_cast<const TimeAverage *>(m.source)->peak());
+            snap.store(e, MetricValue::makeGauge(
+                              static_cast<const TimeAverage *>(m.source)
+                                  ->peak()));
             break;
           case Source::Reader:
-            value = MetricValue::makeCounter(m.read(m.source));
+            snap.store(e, MetricValue::makeCounter(m.read(m.source)));
             break;
           case Source::Gauge:
-            value = MetricValue::makeGauge(
-                (*static_cast<const GaugeFn *>(m.source))());
+            snap.store(e, MetricValue::makeGauge(
+                              (*static_cast<const GaugeFn *>(m.source))()));
             break;
         }
-        snap.entries_.emplace_back(buf.substr(n.offset, n.length),
-                                   std::move(value));
     }
     return snap;
 }
@@ -520,10 +605,12 @@ MetricsRegistry::snapshot() const
 std::vector<std::string>
 MetricsRegistry::names() const
 {
-    std::string buf;
+    MetricsSnapshot snap;
+    render(snap);
     std::vector<std::string> out;
-    for (const Name &n : render(buf))
-        out.push_back(buf.substr(n.offset, n.length));
+    out.reserve(snap.size());
+    for (std::size_t i = 0; i < snap.size(); ++i)
+        out.emplace_back(snap.name(i));
     return out;
 }
 

@@ -32,6 +32,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -58,8 +59,12 @@ struct MetricValue
     enum class Kind : std::uint8_t { Counter, Gauge, Sampler };
 
     Kind kind = Kind::Counter;
-    std::uint64_t counter = 0;
-    double gauge = 0.0;
+    /** A counter's or a gauge's value, by kind. */
+    union
+    {
+        std::uint64_t counter = 0;
+        double gauge;
+    };
     Sampler sampler;
 
     static MetricValue makeCounter(std::uint64_t v);
@@ -76,22 +81,24 @@ struct MetricValue
 
 /**
  * Keyed, self-contained snapshot of every registered metric — the
- * value type ExperimentResult carries: one vector of (name, value)
- * entries sorted by name, looked up by binary search. Lookups on
- * missing names return zero / an empty sampler so accessors stay
- * total.
+ * value type ExperimentResult carries, sorted by name and looked up
+ * by binary search. Lookups on missing names return zero / an empty
+ * sampler so accessors stay total.
+ *
+ * Storage is three flat arrays: every name in one character arena,
+ * one 16-byte entry per metric (the name's offset and length, the
+ * kind, and one slot holding the counter, the gauge, or the index of
+ * the sampler), and the samplers, which only a few metrics are.
  */
 class MetricsSnapshot
 {
   public:
-    using Entry = std::pair<std::string, MetricValue>;
-
     std::uint64_t counter(std::string_view name) const;
     double gauge(std::string_view name) const;
     const Sampler &sampler(std::string_view name) const;
-    bool has(std::string_view name) const { return find(name) != nullptr; }
-    /** The value stored under @p name, or null. */
-    const MetricValue *find(std::string_view name) const;
+    bool has(std::string_view name) const { return locate(name) != nullptr; }
+    /** The value stored under @p name, if any. */
+    std::optional<MetricValue> find(std::string_view name) const;
 
     void setCounter(std::string_view name, std::uint64_t v);
     void setGauge(std::string_view name, double v);
@@ -113,8 +120,10 @@ class MetricsSnapshot
 
     std::size_t size() const { return entries_.size(); }
     bool empty() const { return entries_.empty(); }
-    /** Every entry, sorted by name, names unique. */
-    const std::vector<Entry> &entries() const { return entries_; }
+    /** Name of the @p i'th entry; names are sorted and unique. */
+    std::string_view name(std::size_t i) const { return nameOf(entries_[i]); }
+    /** Value of the @p i'th entry. */
+    MetricValue value(std::size_t i) const { return valueOf(entries_[i]); }
 
     /** One JSON object {"name": value | {sampler fields}, ...},
      *  sorted by name (deterministic). */
@@ -123,10 +132,38 @@ class MetricsSnapshot
   private:
     friend class MetricsRegistry;
 
-    /** Insert or overwrite @p name, keeping entries_ sorted. */
-    void set(std::string_view name, MetricValue value);
+    struct Entry
+    {
+        /** The name is names_[offset, offset + length). */
+        std::uint32_t offset;
+        std::uint16_t length;
+        MetricValue::Kind kind;
+        union
+        {
+            std::uint64_t counter;
+            double gauge;
+            /** Kind::Sampler: index into samplers_. */
+            std::uint64_t sampler;
+        };
+    };
 
+    std::string_view
+    nameOf(const Entry &e) const
+    {
+        return std::string_view(names_).substr(e.offset, e.length);
+    }
+    MetricValue valueOf(const Entry &e) const;
+    /** Store @p value in @p e, reusing e's sampler slot if it has one. */
+    void store(Entry &e, const MetricValue &value);
+    /** Append @p name to the arena; returns an entry naming it. */
+    Entry nameEntry(std::string_view name);
+    const Entry *locate(std::string_view name) const;
+    /** Insert or overwrite @p name, keeping entries_ sorted. */
+    void set(std::string_view name, const MetricValue &value);
+
+    std::string names_;
     std::vector<Entry> entries_;
+    std::vector<Sampler> samplers_;
 };
 
 /**
@@ -236,20 +273,16 @@ class MetricsRegistry
         Source kind;
     };
 
-    /** Where one rendered name sits in the render buffer. */
-    struct Name
-    {
-        std::uint32_t offset;
-        std::uint32_t length;
-        std::uint32_t metric;
-    };
-
     void add(ScopeId scope, const char *leaf, Source kind,
              const void *source, IntReader read = nullptr);
     const char *keep(const std::string &name);
     void appendScope(std::string &out, ScopeId id) const;
-    /** Render every name into @p buf, sorted; fatal on a duplicate. */
-    std::vector<Name> render(std::string &buf) const;
+    /**
+     * Render every name into @p snap's arena, sized exactly, with one
+     * entry per name whose slot holds the metric's index; entries
+     * sorted by name, fatal on a duplicate.
+     */
+    void render(MetricsSnapshot &snap) const;
 
     /** [kRoot] is the empty prefix. */
     std::vector<Scope> scopes_;

@@ -155,7 +155,7 @@ CentralBufferSwitch::dumpState(FILE *out) const
                      port, lane, static_cast<int>(out_state.mode),
                      out_state.queue.size(), out_state.fifoFlits,
                      out_state.readSeq, out_state.sentSeq,
-                     outs_[port].credits[lane],
+                     credits(port, static_cast<int>(lane)),
                      out_state.current.branchPkt
                          ? out_state.current.branchPkt->toString().c_str()
                          : "-");
@@ -273,31 +273,68 @@ CentralBufferSwitch::decide(Cycle now)
         }
 
         // Decode once per worm: a multicast waiting for its
-        // reservation keeps its route unless the table was swapped.
-        if (input.routedBy != routing_) {
-            input.route.emplace(
-                routing_->decode(rec.pkt->dests, params_.variant));
-            input.routedBy = routing_;
+        // reservation keeps its parked route unless the table was
+        // swapped.
+        const RouteDecision *route = nullptr;
+        RouteDecision decoded;
+        if (input.parked != kNotParked &&
+            parked_[input.parked].routedBy == routing_) {
+            route = &parked_[input.parked].route;
+        } else {
+            decoded = routing_->decode(rec.pkt->dests, params_.variant);
             traceWorm(WormEvent::HeaderDecode, now, *rec.pkt,
                       static_cast<std::int32_t>(i));
-            noteUnroutable(*input.route);
+            noteUnroutable(decoded);
+            route = &decoded;
         }
-        const RouteDecision &route = *input.route;
-        if (route.downBranches.empty() && !route.needsUp()) {
+        if (route->downBranches.empty() && !route->needsUp()) {
             // Every destination lost its path (post-fault tolerant
             // table): swallow the worm here and let the source's
             // retransmission logic classify the destinations.
             poisonPacket(*rec.pkt);
+            unpark(i);
             input.mode = InMode::Tombstone;
             input.consumed = 0;
             continue;
         }
-        if (rec.pkt->kind == PacketKind::HwMulticast) {
-            decideMulticast(i, route, now);
-        } else {
-            decideUnicast(i, route, now);
+        if (rec.pkt->kind != PacketKind::HwMulticast) {
+            decideUnicast(i, *route, now);
+        } else if (decideMulticast(i, *route, now)) {
+            unpark(i);
+        } else if (route == &decoded) {
+            park(i, std::move(decoded));
         }
     }
+}
+
+void
+CentralBufferSwitch::park(std::size_t i, RouteDecision &&route)
+{
+    InputState &input = inputs_[i];
+    if (input.parked == kNotParked) {
+        if (freeParked_.empty()) {
+            MDW_ASSERT(parked_.size() < kNotParked,
+                       "switch %d: too many parked routes", id_);
+            input.parked = static_cast<std::uint16_t>(parked_.size());
+            parked_.emplace_back();
+        } else {
+            input.parked = freeParked_.back();
+            freeParked_.pop_back();
+        }
+    }
+    ParkedRoute &slot = parked_[input.parked];
+    slot.route = std::move(route);
+    slot.routedBy = routing_;
+}
+
+void
+CentralBufferSwitch::unpark(std::size_t i)
+{
+    InputState &input = inputs_[i];
+    if (input.parked == kNotParked)
+        return;
+    freeParked_.push_back(input.parked);
+    input.parked = kNotParked;
 }
 
 void
@@ -437,7 +474,7 @@ CentralBufferSwitch::decideUnicast(std::size_t i,
     }
 }
 
-void
+bool
 CentralBufferSwitch::decideMulticast(std::size_t i,
                                      const RouteDecision &route,
                                      Cycle now)
@@ -453,7 +490,7 @@ CentralBufferSwitch::decideMulticast(std::size_t i,
         traceWorm(WormEvent::ReserveStall, now, *pkt,
                   static_cast<std::int32_t>(i));
         ++reservationWaiters_;
-        return;
+        return false;
     }
 
     // One lane for the whole worm, decided before the branch list:
@@ -507,6 +544,7 @@ CentralBufferSwitch::decideMulticast(std::size_t i,
             std::move(branches[b].second)});
         markOut(o);
     }
+    return true;
 }
 
 void
@@ -614,14 +652,9 @@ CentralBufferSwitch::finishHeadPacket(std::size_t i)
     // still drains the previous one.
     popInputPacket(i);
     InputState &input = inputs_[i];
-    input.mode = InMode::Deciding;
-    input.consumed = 0;
-    input.outLane = 0;
-    input.bypassPort = kInvalidPort;
-    input.bypassPkt = nullptr;
-    input.entry = CentralQueue::kNoEntry;
-    input.route.reset();
-    input.routedBy = nullptr;
+    MDW_ASSERT(input.parked == kNotParked,
+               "switch %d input %zu: finished head still parked", id_, i);
+    input = InputState{};
 }
 
 void

@@ -22,9 +22,9 @@
 #ifndef MDW_SWITCH_CENTRAL_BUFFER_SWITCH_HH
 #define MDW_SWITCH_CENTRAL_BUFFER_SWITCH_HH
 
+#include <cstdint>
 #include <cstdio>
 #include <functional>
-#include <optional>
 
 #include "switch/arbiter.hh"
 #include "switch/barrier_unit.hh"
@@ -117,7 +117,16 @@ class CentralBufferSwitch : public SwitchBase
 
   private:
     /** How the head packet of an input is being served. */
-    enum class InMode { Deciding, Bypass, CentralQueue, Tombstone };
+    enum class InMode : std::uint8_t
+    {
+        Deciding,
+        Bypass,
+        CentralQueue,
+        Tombstone
+    };
+
+    /** InputState::parked when the input has no parked route. */
+    static constexpr std::uint16_t kNotParked = 0xffff;
 
     /**
      * Per-(input port, lane) head-packet state, laneIdx-flattened
@@ -125,22 +134,36 @@ class CentralBufferSwitch : public SwitchBase
      */
     struct InputState
     {
-        InMode mode = InMode::Deciding;
+        /** Bypass: pruned descriptor. */
+        PacketPtr bypassPkt;
         /** Head-packet flits taken out of the FIFO so far. */
         int consumed = 0;
         /** Output lane the head packet was allocated at decode; every
          *  replication branch is queued on it (branch-consistent lane
          *  reservation). */
         int outLane = 0;
-        /** Bypass: target output and pruned descriptor. */
-        PortId bypassPort = kInvalidPort;
-        PacketPtr bypassPkt;
         /** Central-queue mode: entry being written. */
         CentralQueue::EntryId entry = CentralQueue::kNoEntry;
-        /** The head packet's route, decoded once under routedBy (empty
-         *  until decoded); a multicast waiting for its reservation
-         *  reuses it unless setRouting() swapped the table. */
-        std::optional<RouteDecision> route;
+        /** Bypass: target output. */
+        PortId bypassPort = kInvalidPort;
+        InMode mode = InMode::Deciding;
+        /** Slot in parked_ holding the head multicast's route while
+         *  it waits for its reservation, or kNotParked. */
+        std::uint16_t parked = kNotParked;
+    };
+
+    /**
+     * The decoded route of a multicast waiting for its reservation.
+     * Only a waiting head needs its route across cycles (a unicast,
+     * or a multicast that reserves at once, is queued in the cycle it
+     * decodes), so the switch keeps a small pool of these instead of
+     * a route slot in every input.
+     */
+    struct ParkedRoute
+    {
+        RouteDecision route;
+        /** The table the route was decoded under: a multicast keeps
+         *  its route unless setRouting() swapped the table. */
         const SwitchRouting *routedBy = nullptr;
     };
 
@@ -180,8 +203,14 @@ class CentralBufferSwitch : public SwitchBase
     void processBarrierEmissions(Cycle now);
     void decideUnicast(std::size_t input, const RouteDecision &route,
                        Cycle now);
-    void decideMulticast(std::size_t input, const RouteDecision &route,
+    /** Queue a multicast's branches if its whole-packet reservation
+     *  succeeds; false (and a reservation stall) otherwise. */
+    bool decideMulticast(std::size_t input, const RouteDecision &route,
                          Cycle now);
+    /** Keep @p route for input @p i's waiting multicast. */
+    void park(std::size_t i, RouteDecision &&route);
+    /** Return input @p i's parked route slot (if any) to the pool. */
+    void unpark(std::size_t i);
     void bypassTransmit(Cycle now);
     void cqWrite(Cycle now);
     void activateStreams();
@@ -214,6 +243,12 @@ class CentralBufferSwitch : public SwitchBase
     Counter barrierTokens_;
     /** laneIdx-flattened: (port, lane) for ports 0..radix. */
     std::vector<InputState> inputs_;
+    /** Routes of waiting multicasts (see ParkedRoute); a slot goes on
+     *  freeParked_ when its multicast is queued, and its successor
+     *  reuses it, so the pool only grows with the number of heads
+     *  waiting at once. */
+    std::vector<ParkedRoute> parked_;
+    std::vector<std::uint16_t> freeParked_;
     std::vector<OutputState> outputs_;
     /** Output slots with work (see markOut()); cleared when a bypass
      *  or stream finishes with an empty queue. */

@@ -69,7 +69,8 @@ InputBufferSwitch::dumpState(FILE *out) const
         std::fprintf(out,
                      "  out%zu.%zu bound to in%d branch %d credits=%d\n",
                      port, lane, outputs_[o].boundInput,
-                     outputs_[o].boundBranch, outs_[port].credits[lane]);
+                     outputs_[o].boundBranch,
+                     credits(port, static_cast<int>(lane)));
     }
 }
 
@@ -410,14 +411,13 @@ InputBufferSwitch::transmitSync(Cycle now)
             MDW_ASSERT(branch.sent == sent,
                        "synchronous branches diverged (%d vs %d)",
                        branch.sent, sent);
-            OutPort &port =
-                outs_[static_cast<std::size_t>(branch.port)];
+            const auto p = static_cast<std::size_t>(branch.port);
+            OutPort &port = outs_[p];
             if (port.failed)
                 continue; // tombstone sink always accepts
-            if (port.credits[static_cast<std::size_t>(lane)] < 1 ||
-                port.out->busy(now) || portThrottled(port, now) ||
-                (sent == 0 &&
-                 !canStartPacket(port, lane, *branch.pkt))) {
+            if (credits(p, lane) < 1 || port.out->busy(now) ||
+                portThrottled(port, now) ||
+                (sent == 0 && !canStartPacket(p, lane, *branch.pkt))) {
                 all_can = false;
                 break;
             }
@@ -442,7 +442,7 @@ InputBufferSwitch::transmitSync(Cycle now)
             }
             port.out->send(Flit{branch.pkt, branch.sent, lane}, now);
             ++branch.sent;
-            --port.credits[static_cast<std::size_t>(lane)];
+            --credits(static_cast<std::size_t>(branch.port), lane);
             notePortSend(static_cast<std::size_t>(branch.port), lane);
             done = branch.done();
         }

@@ -29,6 +29,7 @@ SwitchBase::SwitchBase(std::string name, SwitchId id,
              static_cast<std::size_t>(params.lanes)),
       held_(fifos_.size()),
       outs_(static_cast<std::size_t>(routing->radix())),
+      credits_(fifos_.size(), 0),
       portTx_(static_cast<std::size_t>(routing->radix())),
       laneTx_(params.lanes > 1
                   ? static_cast<std::size_t>(routing->radix()) *
@@ -73,8 +74,8 @@ SwitchBase::connectOut(PortId port, Channel<Flit> *out,
     // Every lane gets the receiver's full advertised window: the
     // downstream per-lane buffers are independent, so total buffering
     // scales with the lane count (per the multi-lane MIN model).
-    p.credits.assign(static_cast<std::size_t>(params_.lanes),
-                     policy.window);
+    for (int lane = 0; lane < params_.lanes; ++lane)
+        credits(static_cast<std::size_t>(port), lane) = policy.window;
     p.initialCredits = policy.window;
     p.mcastWholePacket = policy.mcastWholePacket;
     // Returning credits must be collected promptly even while idle,
@@ -150,8 +151,7 @@ SwitchBase::quiescent(std::string *why) const
         if (!out.connected() || out.failed)
             continue;
         for (int l = 0; l < params_.lanes; ++l) {
-            const int held =
-                out.credits[static_cast<std::size_t>(l)];
+            const int held = credits(p, l);
             if (held != out.initialCredits) {
                 if (why) {
                     *why += "switch " + std::to_string(id_) +
@@ -252,7 +252,9 @@ SwitchBase::notePortSend(std::size_t port, int lane)
 void
 SwitchBase::collectCredits(Cycle now)
 {
-    for (auto &p : outs_) {
+    const auto width = static_cast<std::size_t>(params_.lanes);
+    for (std::size_t o = 0; o < outs_.size(); ++o) {
+        OutPort &p = outs_[o];
         // Nothing due (or no credit link): receiving would be a no-op.
         if (p.next > now)
             continue;
@@ -262,7 +264,8 @@ SwitchBase::collectCredits(Cycle now)
         if (p.failed)
             (void)p.creditIn->receive(now);
         else
-            (void)p.creditIn->receiveByLane(now, p.credits);
+            (void)p.creditIn->receiveByLane(
+                now, std::span<int>(credits_).subspan(o * width, width));
         p.next = p.creditIn->nextArrival();
     }
 }
@@ -368,10 +371,10 @@ SwitchBase::sendFlit(std::size_t p, int lane, const PacketPtr &pkt,
             sim_->noteProgress();
         return true;
     }
-    int &credits = port.credits[static_cast<std::size_t>(lane)];
-    if (credits < 1 || portThrottled(port, now))
+    int &held = credits(p, lane);
+    if (held < 1 || portThrottled(port, now))
         return false;
-    const bool reserved = seq != 0 || canStartPacket(port, lane, *pkt);
+    const bool reserved = seq != 0 || canStartPacket(p, lane, *pkt);
     if (port.out->busy(now)) {
         // The physical link already carried another lane's flit this
         // cycle; count it if this lane was otherwise ready.
@@ -389,7 +392,7 @@ SwitchBase::sendFlit(std::size_t p, int lane, const PacketPtr &pkt,
         return false;
     }
     port.out->send(Flit{pkt, seq, lane}, now);
-    --credits;
+    --held;
     notePortSend(p, lane);
     if (sim_)
         sim_->noteProgress();
@@ -400,15 +403,16 @@ SwitchBase::sendFlit(std::size_t p, int lane, const PacketPtr &pkt,
 }
 
 bool
-SwitchBase::canStartPacket(const OutPort &port, int lane,
+SwitchBase::canStartPacket(std::size_t p, int lane,
                            const PacketDesc &pkt) const
 {
+    const OutPort &port = outs_[p];
     if (port.failed)
         return true; // Tombstone sink: accepts anything, instantly.
-    const int credits = port.credits[static_cast<std::size_t>(lane)];
+    const int held = credits(p, lane);
     if (port.mcastWholePacket && pkt.kind == PacketKind::HwMulticast)
-        return credits >= pkt.totalFlits();
-    return credits >= 1;
+        return held >= pkt.totalFlits();
+    return held >= 1;
 }
 
 int

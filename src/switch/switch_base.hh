@@ -314,9 +314,8 @@ class SwitchBase : public Component
          *  credit collection skips the port while it is in the
          *  future. */
         Cycle next = kNoCycle;
-        /** Per-lane credit counters (size = params.lanes); each lane
-         *  gets the receiver's full advertised window. */
-        std::vector<int> credits;
+        /** Each lane's credit counter (see credits()) starts at the
+         *  receiver's full advertised window. */
         int initialCredits = 0;
         bool mcastWholePacket = false;
         bool failed = false;
@@ -359,6 +358,16 @@ class SwitchBase : public Component
     {
         return port * static_cast<std::size_t>(params_.lanes) +
                static_cast<std::size_t>(lane);
+    }
+
+    /** Credit counter of @p lane on output @p port. */
+    int &credits(std::size_t port, int lane)
+    {
+        return credits_[laneIdx(port, lane)];
+    }
+    int credits(std::size_t port, int lane) const
+    {
+        return credits_[laneIdx(port, lane)];
     }
 
     /**
@@ -452,7 +461,7 @@ class SwitchBase : public Component
      * for multidestination worms when the receiver demands it,
      * against that lane's credit counter.
      */
-    bool canStartPacket(const OutPort &port, int lane,
+    bool canStartPacket(std::size_t port, int lane,
                         const PacketDesc &pkt) const;
 
     /**
@@ -530,6 +539,8 @@ class SwitchBase : public Component
      *  cleared by popInputPacket() when the FIFO empties. */
     SlotMask held_;
     std::vector<OutPort> outs_;
+    /** Per-(output port, lane) credit counters, laneIdx-flattened. */
+    std::vector<int> credits_;
     std::vector<Counter> portTx_;
     /** Per-(port, lane) tx flits, laneIdx-flattened; empty (neither
      *  counted nor registered) on single-lane switches. */

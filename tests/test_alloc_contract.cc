@@ -5,7 +5,8 @@
  * queue and out of a NIC allocates nothing. Registering metrics
  * allocates per scope (per component), not per metric. Building a
  * fat tree's routing tables allocates the same bytes per switch port
- * at every size.
+ * at every size, and building a network or snapshotting its metrics
+ * stays under a stated byte budget per switch or per metric.
  *
  * This file replaces the global operator new/delete of the test
  * binary with malloc-backed versions that count allocations and
@@ -25,11 +26,15 @@
 #include <new>
 #include <vector>
 
+#include "core/network.hh"
+#include "core/presets.hh"
 #include "host/mcast_tracker.hh"
 #include "host/nic.hh"
 #include "message/flit.hh"
+#include "scoped_env.hh"
 #include "sim/channel.hh"
 #include "sim/telemetry.hh"
+#include "switch/central_buffer_switch.hh"
 #include "switch/central_queue.hh"
 #include "topology/fat_tree.hh"
 
@@ -188,8 +193,8 @@ TEST(AllocContract, LoadedLinkAndCreditLoopAllocateNothing)
     // over a 2-cycle reverse wire, so both queues stay several deep.
     PacketFactory factory;
     const PacketPtr pkt = makePkt(factory, 62);
-    Channel<Flit> link("link", 3);
-    CreditChannel credits("credits", 2);
+    Channel<Flit> link(3);
+    CreditChannel credits(2);
     int window = 8;
     std::uint64_t received = 0;
     const auto cycle = [&](Cycle now) {
@@ -272,8 +277,8 @@ TEST(AllocContract, NicInjectingBacklogAllocatesNothing)
     params.sendOverhead = 0;
     params.lanes = 2;
     Nic nic("nic", 0, 4, params, &factory, &tracker);
-    Channel<Flit> link("link", 2);
-    CreditChannel credits("credits", 2);
+    Channel<Flit> link(2);
+    CreditChannel credits(2);
     nic.connectTx(&link, &credits, ReceivePolicy{3, false});
     for (NodeId dest = 1; dest <= 3; ++dest)
         nic.postUnicast(dest, 250, 0);
@@ -302,6 +307,84 @@ TEST(AllocContract, NicInjectingBacklogAllocatesNothing)
     EXPECT_EQ(nic.txBacklog(), 4u);
 }
 
+TEST(AllocContract, WaitingMulticastAllocatesNothing)
+{
+    // One central-buffer switch whose shared pool is pinned full: a
+    // unicast bypasses to output 3, which never gets a credit, and a
+    // second unicast queued behind it writes into the central queue
+    // until the pool runs out. A multicast on a third input then
+    // waits for its reservation every cycle on the route it decoded
+    // once, allocating nothing while it waits.
+    const FatTree tree(4, 1);
+    const SwitchRouting &routing = tree.routing().at(0);
+    CbParams cb;
+    cb.cqChunks = 16;
+    CentralBufferSwitch sw("sw", 0, &routing, SwitchParams{}, cb);
+    const auto radix = static_cast<std::size_t>(routing.radix());
+    std::vector<Channel<Flit>> outs(radix);
+    std::vector<CreditChannel> outCredits(radix);
+    for (std::size_t p = 0; p < radix; ++p)
+        sw.connectOut(static_cast<PortId>(p), &outs[p], &outCredits[p],
+                      ReceivePolicy{p == 3 ? 0 : 64, false});
+
+    PacketFactory factory;
+    const auto packet = [&factory](NodeId src, DestSet dests,
+                                   PacketKind kind, int payload) {
+        PacketDesc desc;
+        desc.src = src;
+        desc.dests = std::move(dests);
+        desc.kind = kind;
+        desc.headerFlits = 2;
+        desc.payloadFlits = payload;
+        return factory.make(std::move(desc));
+    };
+    const std::vector<PacketPtr> pkts = {
+        packet(0, DestSet::of(4, {3}), PacketKind::Unicast, 100),
+        packet(1, DestSet::of(4, {3}), PacketKind::Unicast, 150),
+        packet(2, DestSet::of(4, {0, 1}), PacketKind::HwMulticast, 30)};
+    std::vector<Channel<Flit>> ins(pkts.size());
+    std::vector<CreditChannel> inCredits(pkts.size());
+    // The multicast starts once the second unicast has filled the
+    // pool (one chunk per 8 cycles).
+    const std::vector<Cycle> start = {0, 0, 300};
+    std::vector<int> window(pkts.size());
+    std::vector<int> sent(pkts.size(), 0);
+    for (std::size_t i = 0; i < pkts.size(); ++i) {
+        const auto port = static_cast<PortId>(i);
+        sw.connectIn(port, &ins[i], &inCredits[i]);
+        window[i] = sw.receivePolicy(port).window;
+    }
+
+    const auto cycle = [&](Cycle now) {
+        for (std::size_t i = 0; i < pkts.size(); ++i) {
+            window[i] += inCredits[i].receive(now);
+            if (now >= start[i] && window[i] > 0 &&
+                sent[i] < pkts[i]->totalFlits()) {
+                ins[i].send(Flit{pkts[i], sent[i]++, 0}, now);
+                --window[i];
+            }
+        }
+        sw.step(now);
+    };
+    Cycle now = 0;
+    for (; now < start.back() + kWarmup; ++now)
+        cycle(now);
+    ASSERT_EQ(sw.stats().packetsRouted.value(), 2u);
+    ASSERT_GT(sw.stats().reservationStallCycles.value(), 0u);
+
+    const std::uint64_t before = allocationCount();
+    const std::uint64_t stallsBefore =
+        sw.stats().reservationStallCycles.value();
+    for (const Cycle end = now + kWindow; now < end; ++now)
+        cycle(now);
+    const std::uint64_t allocated = allocationCount() - before;
+
+    EXPECT_EQ(allocated, 0u);
+    EXPECT_EQ(sw.stats().reservationStallCycles.value() - stallsBefore,
+              kWindow);
+    EXPECT_EQ(sw.stats().packetsRouted.value(), 2u);
+}
+
 TEST(AllocContract, MetricRegistrationIsPerScope)
 {
     // A switch-sized component: one scope, eight counters. Registering
@@ -327,6 +410,53 @@ TEST(AllocContract, MetricRegistrationIsPerScope)
     EXPECT_EQ(reg.size(), counters.size());
     EXPECT_LE(allocated, kScopes);
     EXPECT_EQ(reg.names()[8 * 2 + 1], "switch.10.flits_out");
+}
+
+/**
+ * The 256-host CB-HW network the memory bounds below are stated for,
+ * with the suite-wide lane and shard overrides pinned off (more lanes
+ * scale every per-port array; shards add boundary lists).
+ */
+NetworkConfig
+memoryNetwork()
+{
+    NetworkConfig config = networkFor(Scheme::CbHw);
+    config.fatTreeN = 4;
+    return config;
+}
+
+TEST(AllocContract, NetworkBuildBytesPerSwitch)
+{
+    // Everything the constructor allocates (topology, routing,
+    // switches, NICs, channels, metric registrations, temporaries
+    // included), per switch: about 9,520 bytes, so the bound leaves
+    // about 5% headroom.
+    const ScopedEnv lanes("MDW_LANES", nullptr);
+    const ScopedEnv shards("MDW_SHARDS", nullptr);
+    const std::uint64_t before = allocationBytes();
+    const Network net(memoryNetwork());
+    const double per_switch =
+        static_cast<double>(allocationBytes() - before) /
+        static_cast<double>(net.numSwitches());
+    ASSERT_EQ(net.numSwitches(), 256u);
+    EXPECT_LE(per_switch, 10000.0);
+}
+
+TEST(AllocContract, SnapshotBytesPerMetric)
+{
+    // One snapshot, all bytes allocated on the way (temporaries
+    // included), per metric: the name arena, one 16-byte entry and
+    // the few samplers come to about 42.
+    const ScopedEnv lanes("MDW_LANES", nullptr);
+    const ScopedEnv shards("MDW_SHARDS", nullptr);
+    const Network net(memoryNetwork());
+    const std::uint64_t before = allocationBytes();
+    const MetricsSnapshot snap = net.metricsSnapshot();
+    const double per_metric =
+        static_cast<double>(allocationBytes() - before) /
+        static_cast<double>(snap.size());
+    EXPECT_GT(snap.size(), 7000u);
+    EXPECT_LE(per_metric, 64.0);
 }
 
 TEST(AllocContract, FatTreeRoutingBytesPerPortDoNotGrow)

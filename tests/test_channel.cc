@@ -12,7 +12,7 @@ namespace {
 
 TEST(Channel, DeliversAfterDelay)
 {
-    Channel<int> ch("c", 2);
+    Channel<int> ch(2);
     ch.send(42, 10);
     EXPECT_EQ(ch.peek(10), nullptr);
     EXPECT_EQ(ch.peek(11), nullptr);
@@ -24,7 +24,7 @@ TEST(Channel, DeliversAfterDelay)
 
 TEST(Channel, PreservesOrder)
 {
-    Channel<int> ch("c", 1);
+    Channel<int> ch(1);
     ch.send(1, 0);
     ch.send(2, 1);
     ch.send(3, 2);
@@ -35,7 +35,7 @@ TEST(Channel, PreservesOrder)
 
 TEST(Channel, BusyWithinCycleOnly)
 {
-    Channel<int> ch("c", 1);
+    Channel<int> ch(1);
     EXPECT_FALSE(ch.busy(0));
     ch.send(7, 0);
     EXPECT_TRUE(ch.busy(0));
@@ -46,7 +46,7 @@ TEST(Channel, BusyWithinCycleOnly)
 
 TEST(Channel, InFlightCount)
 {
-    Channel<int> ch("c", 3);
+    Channel<int> ch(3);
     ch.send(1, 0);
     ch.send(2, 1);
     EXPECT_EQ(ch.inFlight(), 2u);
@@ -56,14 +56,14 @@ TEST(Channel, InFlightCount)
 
 TEST(ChannelDeath, TwoSendsSameCyclePanics)
 {
-    Channel<int> ch("c", 1);
+    Channel<int> ch(1);
     ch.send(1, 5);
     EXPECT_DEATH(ch.send(2, 5), "two sends");
 }
 
 TEST(ChannelDeath, ReceiveWithNothingPanics)
 {
-    Channel<int> ch("c", 1);
+    Channel<int> ch(1);
     EXPECT_DEATH(ch.receive(0), "nothing arrived");
     ch.send(1, 0);
     EXPECT_DEATH(ch.receive(0), "nothing arrived");
@@ -71,12 +71,12 @@ TEST(ChannelDeath, ReceiveWithNothingPanics)
 
 TEST(ChannelDeath, ZeroDelayRejected)
 {
-    EXPECT_DEATH(Channel<int>("c", 0), "delay must be >= 1");
+    EXPECT_DEATH(Channel<int>(0), "delay must be >= 1");
 }
 
 TEST(CreditChannel, MergesSameCycleGrants)
 {
-    CreditChannel ch("cr", 1);
+    CreditChannel ch(1);
     ch.send(2, 0);
     ch.send(3, 0);
     EXPECT_EQ(ch.inFlight(), 5);
@@ -87,7 +87,7 @@ TEST(CreditChannel, MergesSameCycleGrants)
 
 TEST(CreditChannel, AccumulatesAcrossCycles)
 {
-    CreditChannel ch("cr", 2);
+    CreditChannel ch(2);
     ch.send(1, 0);
     ch.send(1, 1);
     ch.send(1, 2);
@@ -98,7 +98,7 @@ TEST(CreditChannel, AccumulatesAcrossCycles)
 
 TEST(CreditChannelDeath, NonPositiveGrantPanics)
 {
-    CreditChannel ch("cr", 1);
+    CreditChannel ch(1);
     EXPECT_DEATH(ch.send(0, 0), "non-positive");
 }
 

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <utility>
+
 #include "message/dest_set.hh"
 
 namespace mdw {
@@ -105,6 +108,39 @@ TEST_P(DestSetSizes, RangeOperationsMatchPerBitLoops)
     }
 }
 
+TEST_P(DestSetSizes, CountsMatchBitByBitOnRandomSets)
+{
+    // count() and countRange() against a test() loop on random sets
+    // of every density, with random ranges that mostly cross words.
+    const std::size_t n = GetParam();
+    std::mt19937_64 rng(n);
+    for (const double density : {0.01, 0.3, 0.5, 0.9, 1.0}) {
+        std::bernoulli_distribution member(density);
+        DestSet set(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            if (member(rng))
+                set.set(static_cast<NodeId>(i));
+        }
+        const auto bits = [&set](NodeId lo, NodeId hi) {
+            std::size_t total = 0;
+            for (NodeId i = lo; i < hi; ++i)
+                total += set.test(i) ? 1 : 0;
+            return total;
+        };
+        const auto size = static_cast<NodeId>(n);
+        EXPECT_EQ(set.count(), bits(0, size)) << density;
+        std::uniform_int_distribution<NodeId> cut(0, size);
+        for (int trial = 0; trial < 200; ++trial) {
+            NodeId lo = cut(rng);
+            NodeId hi = cut(rng);
+            if (lo > hi)
+                std::swap(lo, hi);
+            EXPECT_EQ(set.countRange(lo, hi), bits(lo, hi))
+                << density << ": " << lo << ".." << hi;
+        }
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(WordBoundaries, DestSetSizes,
                          ::testing::Values(1, 2, 63, 64, 65, 128, 200,
                                            1024));
@@ -143,6 +179,27 @@ TEST(DestSet, SubsetOfEmptyAndFull)
     EXPECT_TRUE(empty.subsetOf(empty));
     EXPECT_FALSE(full.subsetOf(empty));
     EXPECT_FALSE(empty.intersects(full));
+}
+
+TEST(DestSet, ContainsOnlyIsExactlyOneMember)
+{
+    // Universe of three words; the member sits in the middle one so a
+    // stray member on either side must be seen.
+    DestSet set(150);
+    EXPECT_FALSE(set.containsOnly(70)); // empty
+    set.set(70);
+    EXPECT_TRUE(set.containsOnly(70)); // single
+    EXPECT_FALSE(set.containsOnly(71)); // wrong member, same word
+    EXPECT_FALSE(set.containsOnly(3)); // wrong member, other word
+    set.set(71);
+    EXPECT_FALSE(set.containsOnly(70)); // two members, same word
+    set.clear(71);
+    set.set(149);
+    EXPECT_FALSE(set.containsOnly(70)); // two members, later word
+    set.clear(149);
+    set.set(0);
+    EXPECT_FALSE(set.containsOnly(70)); // two members, earlier word
+    EXPECT_FALSE(set.containsOnly(0));
 }
 
 TEST(DestSetDeath, OutOfRangePanics)

@@ -342,7 +342,7 @@ TEST(Simulator, ShardRetireThenSerialSendWakesAtArrival)
     // shards on as many threads.
     const auto run = [](int mode) {
         Simulator sim;
-        Channel<int> link("link", kDelay);
+        Channel<int> link(kDelay);
         LoggingReceiver receiver(link);
         OneShotSender sender(link);
         sim.add(&receiver);

@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
@@ -82,16 +83,17 @@ std::string
 diffSnapshots(const MetricsSnapshot &a, const MetricsSnapshot &b)
 {
     std::string out;
-    for (const auto &entry : a.entries()) {
-        const MetricValue *other = b.find(entry.first);
-        if (other == nullptr)
-            out += "missing in fast: " + entry.first + "; ";
-        else if (!entry.second.identical(*other))
-            out += "differs: " + entry.first + "; ";
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        const std::string name(a.name(i));
+        const std::optional<MetricValue> other = b.find(name);
+        if (!other)
+            out += "missing in fast: " + name + "; ";
+        else if (!a.value(i).identical(*other))
+            out += "differs: " + name + "; ";
     }
-    for (const auto &entry : b.entries()) {
-        if (!a.has(entry.first))
-            out += "missing in slow: " + entry.first + "; ";
+    for (std::size_t i = 0; i < b.size(); ++i) {
+        if (!a.has(b.name(i)))
+            out += "missing in slow: " + std::string(b.name(i)) + "; ";
     }
     return out.empty() ? "(no metric diff -- flags/cycles differ)"
                        : out;

@@ -96,7 +96,7 @@ TEST(FlitCrc, DistinguishesSequenceNumbers)
 TEST(LinkLayer, CleanPassThrough)
 {
     PacketFactory factory;
-    Channel<Flit> ch("ab", 2);
+    Channel<Flit> ch(2);
     LinkLayer layer("ab", 0, 4, 2, params(), 99);
     ch.setHook(&layer);
 
@@ -116,7 +116,7 @@ TEST(LinkLayer, NakReplayDelaysOneRoundTrip)
 {
     PacketFactory factory;
     const Cycle delay = 2;
-    Channel<Flit> ch("ab", delay);
+    Channel<Flit> ch(delay);
     LinkLayer layer("ab", 0, 4, delay, params(), 99);
     ch.setHook(&layer);
 
@@ -142,7 +142,7 @@ TEST(LinkLayer, ResidualErrorTaintsBranch)
 {
     PacketFactory factory;
     factory.enableIntegrityTracking();
-    Channel<Flit> ch("ab", 1);
+    Channel<Flit> ch(1);
     LinkLayer layer("ab", 0, 4, 1, params(), 99);
     ch.setHook(&layer);
 
@@ -167,7 +167,7 @@ TEST(LinkLayer, ResidualWithoutTaintPoisons)
 {
     PacketFactory factory; // integrity tracking off: no taint nodes
     std::unordered_set<PacketId> poisoned;
-    Channel<Flit> ch("ab", 1);
+    Channel<Flit> ch(1);
     LinkLayer layer("ab", 0, 4, 1, params(), 99);
     layer.setPoisonRegistry(&poisoned);
     ch.setHook(&layer);
@@ -184,7 +184,7 @@ TEST(LinkLayer, FullReplayBufferStallsDeparture)
 {
     PacketFactory factory;
     const Cycle delay = 4;
-    Channel<Flit> ch("ab", delay);
+    Channel<Flit> ch(delay);
     LinkLayer layer("ab", 0, 4, delay, params(16, 2), 99);
     ch.setHook(&layer);
     PacketPtr pkt = makePacket(factory);
@@ -208,7 +208,7 @@ TEST(LinkLayer, ReplayBufferWrapsAroundUnderStreaming)
 {
     PacketFactory factory;
     const Cycle delay = 3;
-    Channel<Flit> ch("ab", delay);
+    Channel<Flit> ch(delay);
     LinkLayer layer("ab", 0, 4, delay, params(16, 2), 99);
     ch.setHook(&layer);
     PacketPtr pkt = makePacket(factory, 16);
@@ -239,8 +239,8 @@ TEST(LinkLayer, SimultaneousBidirectionalCorruption)
 {
     PacketFactory factory;
     const Cycle delay = 2;
-    Channel<Flit> ab("ab", delay);
-    Channel<Flit> ba("ba", delay);
+    Channel<Flit> ab(delay);
+    Channel<Flit> ba(delay);
     LinkLayer fwd("ab", 0, 4, delay, params(), 7);
     LinkLayer rev("ba", 1, 2, delay, params(), 8);
     ab.setHook(&fwd);
@@ -269,7 +269,7 @@ TEST(LinkLayer, EscalationBoundaryNMinusOneSucceeds)
 {
     PacketFactory factory;
     const int limit = 4;
-    Channel<Flit> ch("ab", 1);
+    Channel<Flit> ch(1);
     LinkLayer layer("ab", 0, 4, 1, params(limit), 99);
     ch.setHook(&layer);
 
@@ -290,7 +290,7 @@ TEST(LinkLayer, EscalationBoundaryNExhaustsAndFailsStop)
     const int limit = 4;
     std::unordered_set<PacketId> poisoned;
     std::vector<Cycle> escalations;
-    Channel<Flit> ch("ab", 1);
+    Channel<Flit> ch(1);
     LinkLayer layer("ab", 0, 4, 1, params(limit), 99);
     layer.setPoisonRegistry(&poisoned);
     layer.setEscalation(
@@ -318,7 +318,7 @@ TEST(LinkLayer, EscalationBoundaryNExhaustsAndFailsStop)
 TEST(LinkLayer, FlapRideThrough)
 {
     PacketFactory factory;
-    Channel<Flit> ch("ab", 1);
+    Channel<Flit> ch(1);
     LinkLayer layer("ab", 0, 4, 1, params(), 99);
     FlapWindow flap;
     flap.sw = 0;
@@ -343,7 +343,7 @@ TEST(LinkLayer, FlapLongerThanRetryBudgetEscalates)
     PacketFactory factory;
     std::vector<Cycle> escalations;
     std::unordered_set<PacketId> poisoned;
-    Channel<Flit> ch("ab", 1);
+    Channel<Flit> ch(1);
     LinkLayer layer("ab", 0, 4, 1, params(2), 99);
     FlapWindow flap;
     flap.sw = 0;
@@ -368,7 +368,7 @@ TEST(LinkLayer, MarkDeadDropsLaterSends)
 {
     PacketFactory factory;
     std::unordered_set<PacketId> poisoned;
-    Channel<Flit> ch("ab", 1);
+    Channel<Flit> ch(1);
     LinkLayer layer("ab", 0, 4, 1, params(), 99);
     layer.setPoisonRegistry(&poisoned);
     ch.setHook(&layer);

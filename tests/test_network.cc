@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/presets.hh"
+#include "scoped_env.hh"
 
 namespace mdw {
 namespace {
@@ -139,6 +140,74 @@ TEST(NetworkBuilder, DeterministicAcrossIdenticalBuilds)
                static_cast<double>(net.totals().flitsOut);
     };
     EXPECT_DOUBLE_EQ(fingerprint(), fingerprint());
+}
+
+TEST(NetworkNames, QuiescenceReportNamesChannelsInFlight)
+{
+    // A 16-host run stopped with flits and credits on every kind of
+    // channel: switch-switch data (.ab/.ba) and credits (.cab/.cba),
+    // host injection (.inj/.cinj) and ejection (.ej/.cej). Channel
+    // names are rendered from the wiring on demand; the report reads
+    // exactly as it did when every channel stored its own name.
+    const ScopedEnv lanes("MDW_LANES", nullptr);
+    NetworkConfig config = defaultNetwork();
+    config.fatTreeK = 4;
+    config.fatTreeN = 2;
+    Network net(config);
+    net.nic(0).postMulticast(DestSet::of(16, {5, 10, 15}), 8, 0);
+    net.nic(6).postUnicast(1, 4, 0);
+    net.sim().run(109);
+
+    std::string why;
+    EXPECT_FALSE(net.checkQuiescent(&why));
+    EXPECT_EQ(why,
+              "nic0-sw0.p0.inj: flits in flight; "
+              "nic1-sw0.p1.ej: flits in flight; "
+              "sw0.p4-sw4.p0.ba: flits in flight; "
+              "sw0.p7-sw7.p0.ab: flits in flight; "
+              "nic0-sw0.p0.cinj: credits in flight; "
+              "nic1-sw0.p1.cej: credits in flight; "
+              "sw0.p4-sw4.p0.cba: credits in flight; "
+              "sw1.p4-sw4.p1.cab: credits in flight"
+              "switch 0 output 1 lane 0 holds 2 outstanding credits; "
+              "sw0: central queue holds 1 entries; "
+              "sw0: output 1 still streaming; "
+              "sw0: output 7 still streaming; "
+              "switch 1 output 4 lane 0 holds 2 outstanding credits; "
+              "switch 4 output 0 lane 0 holds 3 outstanding credits; "
+              "sw4: output 0 still streaming; "
+              "nic0: 1 packet(s) still queued for injection; "
+              "nic1: packet mid-reassembly at ejection; ");
+}
+
+TEST(NetworkNames, LinkLayersKeepTheirChannelNames)
+{
+    // Each direction's ARQ layer is named after the data channel it
+    // guards, lower (switch, port) endpoint first.
+    NetworkConfig config = defaultNetwork();
+    config.fatTreeK = 4;
+    config.fatTreeN = 2;
+    config.faultSpec.ber = 1e-3;
+    Network net(config);
+    std::string names;
+    for (SwitchId sw = 0; sw < 8; ++sw) {
+        for (PortId port = 0; port < 8; ++port) {
+            if (const LinkLayer *layer = net.linkLayer(sw, port))
+                names += layer->name() + " ";
+        }
+    }
+    EXPECT_EQ(names,
+              "sw0.p4-sw4.p0.ab sw0.p5-sw5.p0.ab sw0.p6-sw6.p0.ab "
+              "sw0.p7-sw7.p0.ab sw1.p4-sw4.p1.ab sw1.p5-sw5.p1.ab "
+              "sw1.p6-sw6.p1.ab sw1.p7-sw7.p1.ab sw2.p4-sw4.p2.ab "
+              "sw2.p5-sw5.p2.ab sw2.p6-sw6.p2.ab sw2.p7-sw7.p2.ab "
+              "sw3.p4-sw4.p3.ab sw3.p5-sw5.p3.ab sw3.p6-sw6.p3.ab "
+              "sw3.p7-sw7.p3.ab sw0.p4-sw4.p0.ba sw1.p4-sw4.p1.ba "
+              "sw2.p4-sw4.p2.ba sw3.p4-sw4.p3.ba sw0.p5-sw5.p0.ba "
+              "sw1.p5-sw5.p1.ba sw2.p5-sw5.p2.ba sw3.p5-sw5.p3.ba "
+              "sw0.p6-sw6.p0.ba sw1.p6-sw6.p1.ba sw2.p6-sw6.p2.ba "
+              "sw3.p6-sw6.p3.ba sw0.p7-sw7.p0.ba sw1.p7-sw7.p1.ba "
+              "sw2.p7-sw7.p2.ba sw3.p7-sw7.p3.ba ");
 }
 
 } // namespace

@@ -45,7 +45,7 @@ struct RecordingRegistrar : BoundaryRegistrar
 TEST(BoundaryChannel, SendsStayInvisibleUntilFlush)
 {
     RecordingRegistrar reg;
-    Channel<int> ch("b", 1);
+    Channel<int> ch(1);
     ch.setBoundary(&reg, 3);
 
     ch.send(7, 10);
@@ -84,7 +84,7 @@ TEST(BoundaryChannel, SendsStayInvisibleUntilFlush)
 TEST(BoundaryChannel, CreditGrantsMergeAndFlush)
 {
     RecordingRegistrar reg;
-    CreditChannel ch("cr", 1);
+    CreditChannel ch(1);
     ch.setBoundary(&reg, 1);
 
     ch.send(2, 5);
@@ -111,7 +111,7 @@ TEST(BoundaryChannel, LaneTaggedCreditsFlushPerLane)
     // lanes would credit the wrong per-lane counter at the receiver
     // after the barrier flush.
     RecordingRegistrar reg;
-    CreditChannel ch("cr", 1);
+    CreditChannel ch(1);
     ch.setBoundary(&reg, 1);
 
     ch.send(2, 5, /*lane=*/0);
@@ -135,7 +135,7 @@ TEST(BoundaryChannelDeath, HookAndBoundaryAreExclusive)
     };
     RecordingRegistrar reg;
     NullHook hook;
-    Channel<int> ch("b", 1);
+    Channel<int> ch(1);
     ch.setHook(&hook);
     EXPECT_DEATH(ch.setBoundary(&reg, 0), "link hook");
     ch.setHook(nullptr);

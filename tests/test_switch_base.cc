@@ -45,9 +45,16 @@ class ProbeSwitch : public SwitchBase
         return ReceivePolicy{inputFlits_, false};
     }
 
+    /** Output 0's receiver policy and lane-0 credit count. */
+    void
+    setPort0(int credits, bool mcastWholePacket)
+    {
+        outs_[0].mcastWholePacket = mcastWholePacket;
+        this->credits(0, 0) = credits;
+    }
+
     using SwitchBase::canStartPacket;
     using SwitchBase::chooseUpPort;
-    using SwitchBase::OutPort;
 };
 
 PacketDesc
@@ -67,33 +74,28 @@ TEST(SwitchBase, UnicastStartsWithOneCredit)
 {
     const SwitchRouting routing = makeRouting();
     ProbeSwitch sw(&routing, SwitchParams{});
-    ProbeSwitch::OutPort port;
-    port.credits = {1};
-    port.mcastWholePacket = true;
-    EXPECT_TRUE(sw.canStartPacket(port, 0, makeDesc(PacketKind::Unicast)));
+    sw.setPort0(1, true);
+    EXPECT_TRUE(sw.canStartPacket(0, 0, makeDesc(PacketKind::Unicast)));
     EXPECT_TRUE(sw.canStartPacket(
-        port, 0, makeDesc(PacketKind::SwMulticastCarrier)));
-    port.credits = {0};
-    EXPECT_FALSE(sw.canStartPacket(port, 0, makeDesc(PacketKind::Unicast)));
+        0, 0, makeDesc(PacketKind::SwMulticastCarrier)));
+    sw.setPort0(0, true);
+    EXPECT_FALSE(sw.canStartPacket(0, 0, makeDesc(PacketKind::Unicast)));
 }
 
 TEST(SwitchBase, MulticastNeedsWholePacketWhenDemanded)
 {
     const SwitchRouting routing = makeRouting();
     ProbeSwitch sw(&routing, SwitchParams{});
-    ProbeSwitch::OutPort port;
-    port.mcastWholePacket = true;
-    port.credits = {31};
+    sw.setPort0(31, true);
     EXPECT_FALSE(
-        sw.canStartPacket(port, 0, makeDesc(PacketKind::HwMulticast)));
-    port.credits = {32};
+        sw.canStartPacket(0, 0, makeDesc(PacketKind::HwMulticast)));
+    sw.setPort0(32, true);
     EXPECT_TRUE(
-        sw.canStartPacket(port, 0, makeDesc(PacketKind::HwMulticast)));
+        sw.canStartPacket(0, 0, makeDesc(PacketKind::HwMulticast)));
     // Receivers that do their own admission only need one credit.
-    port.mcastWholePacket = false;
-    port.credits = {1};
+    sw.setPort0(1, false);
     EXPECT_TRUE(
-        sw.canStartPacket(port, 0, makeDesc(PacketKind::HwMulticast)));
+        sw.canStartPacket(0, 0, makeDesc(PacketKind::HwMulticast)));
 }
 
 TEST(SwitchBase, DeterministicUpChoiceIsStable)

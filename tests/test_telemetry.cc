@@ -144,7 +144,7 @@ TEST(MetricsRegistry, NamesAreSortedAndUnique)
     const MetricsSnapshot snap = reg.snapshot();
     ASSERT_EQ(snap.size(), names.size());
     for (std::size_t i = 0; i < names.size(); ++i)
-        EXPECT_EQ(snap.entries()[i].first, names[i]);
+        EXPECT_EQ(snap.name(i), names[i]);
 }
 
 TEST(MetricsRegistryDeathTest, DuplicateNameIsFatal)
