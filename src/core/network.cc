@@ -56,43 +56,30 @@ Network::Network(const NetworkConfig &config)
 
 Network::~Network() = default;
 
-std::vector<std::pair<SwitchId, int>>
-Network::candidateLinks() const
-{
-    const PortGraph &graph = topo_->graph();
-    std::vector<std::pair<SwitchId, int>> links;
-    for (std::size_t s = 0; s < graph.numSwitches(); ++s) {
-        const SwitchId a = static_cast<SwitchId>(s);
-        for (PortId p = 0; p < graph.radix(a); ++p) {
-            const PortPeer &peer = graph.peer(a, p);
-            if (peer.isSwitch() &&
-                std::make_pair(a, p) <=
-                    std::make_pair(peer.sw, peer.port)) {
-                links.emplace_back(a, p);
-            }
-        }
-    }
-    return links;
-}
-
 void
 Network::installFaults()
 {
     FaultPlan plan = cfg_.faultPlan;
+    // Switch-switch links, lower endpoint first, in wiring order.
+    const auto links = [this] {
+        std::vector<std::pair<SwitchId, int>> out;
+        forEachLink([&out](const LinkSite &link) {
+            if (link.b != kInvalidSwitch)
+                out.emplace_back(link.a, link.pa);
+        });
+        return out;
+    };
     if (plan.events.empty() && !cfg_.faultSpec.empty()) {
-        const PortGraph &graph = topo_->graph();
-        std::vector<SwitchId> candidates;
-        for (std::size_t s = 0; s < graph.numSwitches(); ++s)
-            candidates.push_back(static_cast<SwitchId>(s));
-        FaultPlan drawn = FaultPlan::random(cfg_.faultSpec,
-                                            candidateLinks(),
-                                            candidates);
-        plan.events = std::move(drawn.events);
+        std::vector<SwitchId> candidates(topo_->numSwitches());
+        for (std::size_t s = 0; s < candidates.size(); ++s)
+            candidates[s] = static_cast<SwitchId>(s);
+        plan.events =
+            FaultPlan::random(cfg_.faultSpec, links(), candidates).events;
     }
     // Transients: an explicit plan's schedule wins; otherwise draw
     // from the spec (fault.ber / fault.flaps).
     if (!plan.hasTransients() && cfg_.faultSpec.transient())
-        plan.drawTransients(cfg_.faultSpec, candidateLinks());
+        plan.drawTransients(cfg_.faultSpec, links());
     plan.finalize();
 
     // Retransmission needs delivery-dedup even when no fault ever
@@ -128,26 +115,26 @@ Network::installLinkLayers(double ber, double residual,
     // direction, 2i+1 its reverse, independent of traffic and of the
     // fail-stop draws.
     const std::uint64_t family = Rng::streamSeed(seed, 0x44);
-    for (std::size_t i = 0; i < linkRecords_.size(); ++i) {
-        LinkRecord &rec = linkRecords_[i];
+    std::uint64_t stream = 0;
+    forEachLink([&](const LinkSite &link) {
+        if (link.b == kInvalidSwitch)
+            return;
         LinkLayerParams params = cfg_.link;
         params.ber = ber;
         params.residual = residual;
 
         std::vector<FlapWindow> linkFlaps;
         for (const FlapWindow &w : flaps) {
-            if ((w.sw == rec.a && w.port == rec.pa) ||
-                (w.sw == rec.b && w.port == rec.pb))
+            if ((w.sw == link.a && w.port == link.pa) ||
+                (w.sw == link.b && w.port == link.pb))
                 linkFlaps.push_back(w);
         }
 
-        const LinkSite link{rec.a, rec.pa, rec.b, rec.pb, kInvalidNode,
-                            true, true, 0, 0};
-        auto attach = [&](Channel<Flit> *ch, const char *suffix,
-                          SwitchId sw, PortId port, std::uint64_t stream) {
+        auto attach = [&](Channel<Flit> &ch, const char *suffix,
+                          SwitchId sw, PortId port) {
             auto layer = std::make_unique<LinkLayer>(
                 channelName(link, suffix), sw, port, cfg_.linkDelay,
-                params, Rng::streamSeed(family, stream));
+                params, Rng::streamSeed(family, stream++));
             layer->setFlaps(linkFlaps);
             layer->setPoisonRegistry(resilience_->poisonRegistry());
             layer->setEscalation([this, sw, port](Cycle when) {
@@ -159,13 +146,12 @@ Network::installLinkLayers(double ber, double residual,
                 reg.scope("p", static_cast<std::uint32_t>(port),
                           reg.scope("link.",
                                     static_cast<std::uint32_t>(sw))));
-            ch->setHook(layer.get());
+            ch.setHook(layer.get());
             linkLayers_.push_back(std::move(layer));
-            return linkLayers_.back().get();
         };
-        rec.fwd = attach(rec.ab, ".ab", rec.a, rec.pa, 2 * i);
-        rec.rev = attach(rec.ba, ".ba", rec.b, rec.pb, 2 * i + 1);
-    }
+        attach(flitChannels_[link.flit], ".ab", link.a, link.pa);
+        attach(flitChannels_[link.flit + 1], ".ba", link.b, link.pb);
+    });
 
     // Fabric-wide rollups (per-direction counters registered above).
     MetricsRegistry &reg = telemetry_.registry();
@@ -220,27 +206,21 @@ Network::installLinkLayers(double ber, double residual,
 LinkLayer *
 Network::linkLayer(SwitchId sw, PortId port)
 {
-    for (const LinkRecord &rec : linkRecords_) {
-        if (rec.a == sw && rec.pa == port)
-            return rec.fwd;
-        if (rec.b == sw && rec.pb == port)
-            return rec.rev;
-    }
-    return nullptr;
+    if (!topo_->graph().peer(sw, port).isSwitch())
+        return nullptr;
+    // Link layers are the only hooks a switch's out channel carries.
+    return static_cast<LinkLayer *>(
+        switches_[static_cast<std::size_t>(sw)]->outChannel(port)->hook());
 }
 
 void
 Network::markLinkDead(SwitchId sw, PortId port)
 {
-    for (const LinkRecord &rec : linkRecords_) {
-        if ((rec.a == sw && rec.pa == port) ||
-            (rec.b == sw && rec.pb == port)) {
-            if (rec.fwd)
-                rec.fwd->markDead();
-            if (rec.rev)
-                rec.rev->markDead();
-            return;
-        }
+    const PortPeer &peer = topo_->graph().peer(sw, port);
+    for (LinkLayer *layer :
+         {linkLayer(sw, port), linkLayer(peer.sw, peer.port)}) {
+        if (layer != nullptr)
+            layer->markDead();
     }
 }
 
@@ -458,8 +438,8 @@ Network::channelName(const LinkSite &link, const char *suffix)
 void
 Network::wire()
 {
-    // Both arrays get their final size up front: the switches, NICs
-    // and link records keep pointers into them.
+    // Both arrays get their final size up front: the switches and
+    // NICs keep pointers into them.
     const auto [flits, credits] = forEachLink([](const LinkSite &) {});
     flitChannels_.reserve(flits);
     creditChannels_.reserve(credits);
@@ -478,11 +458,6 @@ Network::wire()
             Channel<Flit> *ba = flit + 1;
             CreditChannel *cr_ab = credit;
             CreditChannel *cr_ba = credit + 1;
-            // Remember the link's identity so the transient-fault
-            // subsystem can attach per-direction ARQ layers.
-            linkRecords_.push_back(LinkRecord{link.a, link.pa, link.b,
-                                              link.pb, ab, ba, nullptr,
-                                              nullptr});
             // a -> b data, with b returning credits on cr_ab.
             a.connectOut(link.pa, ab, cr_ab, b.receivePolicy(link.pb));
             b.connectIn(link.pb, ab, cr_ab);
@@ -528,14 +503,15 @@ Network::setupSharding()
         return;
     // Subsystems whose switch-step or channel behavior reaches shared
     // state (ARQ link hooks resolve arrivals with shared RNGs; the
-    // resilience layer mutates routing; retransmission needs the
-    // tracker's dedup on paths sharding would reorder) force the flat
-    // fast path. Results are identical either way.
+    // resilience layer mutates routing and poisons worms) force the
+    // flat fast path. Retransmission alone does not: it and the
+    // tracker's dedup run in the serial NIC phase. Results are
+    // identical either way.
     if (!sim_.fastPath()) {
         serialReason_ = "fast path disabled";
         return;
     }
-    if (resilience_ != nullptr || tracker_.resilient()) {
+    if (resilience_ != nullptr) {
         serialReason_ = "fault/resilience subsystem configured";
         return;
     }

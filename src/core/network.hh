@@ -291,19 +291,6 @@ class Network
     std::vector<std::uint64_t> portTxSnapshot() const;
 
   private:
-    /** One wired switch-switch link (both directions). */
-    struct LinkRecord
-    {
-        SwitchId a = kInvalidSwitch; ///< lower endpoint
-        PortId pa = 0;
-        SwitchId b = kInvalidSwitch;
-        PortId pb = 0;
-        Channel<Flit> *ab = nullptr; ///< a -> b data channel
-        Channel<Flit> *ba = nullptr;
-        LinkLayer *fwd = nullptr; ///< guards ab (sender a)
-        LinkLayer *rev = nullptr; ///< guards ba (sender b)
-    };
-
     /**
      * One link as wire() lays it out, with the slots of its first
      * flit and credit channel. A switch-switch link (b valid) owns
@@ -351,9 +338,6 @@ class Network
                            const std::vector<FlapWindow> &flaps);
     void registerTelemetry();
     void onWatchdogTrip();
-    /** Build the switch-switch candidate-link list (lower endpoint
-     *  first), in deterministic wiring order. */
-    std::vector<std::pair<SwitchId, int>> candidateLinks() const;
 
     NetworkConfig cfg_;
     std::unique_ptr<Topology> topo_;
@@ -369,7 +353,6 @@ class Network
      *  pointers into them); forEachChannel() names their slots. */
     std::vector<Channel<Flit>> flitChannels_;
     std::vector<CreditChannel> creditChannels_;
-    std::vector<LinkRecord> linkRecords_;
 
     ShardPlan shardPlan_;
     std::size_t effectiveShards_ = 0;

@@ -12,6 +12,30 @@ namespace shardctx {
 thread_local int current = -1;
 } // namespace shardctx
 
+namespace {
+
+/** Yields before a waiting thread parks. A yield, unlike a spin,
+ *  hands the core over on an oversubscribed host. */
+constexpr int kYieldsBeforePark = 2000;
+
+/** Wait until @p ready holds for @p value; returns that value. */
+template <typename T, typename Ready>
+T
+await(const std::atomic<T> &value, Ready ready)
+{
+    T v;
+    for (int i = 0; !ready(v = value.load(std::memory_order_acquire));
+         ++i) {
+        if (i < kYieldsBeforePark)
+            std::this_thread::yield();
+        else
+            value.wait(v, std::memory_order_acquire);
+    }
+    return v;
+}
+
+} // namespace
+
 void
 Component::requestWakeSlow(Cycle when)
 {
@@ -94,20 +118,10 @@ Simulator::setSharding(std::vector<std::uint32_t> shardOf,
         ++buckets_[bucket].size;
         buckets_[bucket].runList.push_back(i);
     }
-    shardProgress_.assign(parallelShards, 0);
-    unsigned workers = threads;
-    if (workers == 0) {
-        workers = std::thread::hardware_concurrency();
-        if (workers == 0)
-            workers = 1;
-    }
-    workers = std::min<unsigned>(
-        workers, static_cast<unsigned>(parallelShards));
-    // The main thread participates in the parallel phase, so a pool
-    // of workers - 1 suffices; workers == 1 runs the shard loop
-    // inline with no pool at all (bit-identical by construction).
-    if (workers > 1)
-        startPool(workers - 1);
+    if (threads == 0)
+        threads = std::max(1u, std::thread::hardware_concurrency());
+    startPool(std::min<unsigned>(
+        threads, static_cast<unsigned>(parallelShards)));
 }
 
 void
@@ -273,6 +287,10 @@ Simulator::flushBoundaries()
     // own channel queue and the wake requests commute -- but a fixed
     // order keeps internal heap layouts reproducible too.
     for (Bucket &bucket : buckets_) {
+        if (bucket.progress) {
+            bucket.progress = 0;
+            lastProgress_ = now_;
+        }
         for (BoundaryChannel *ch : bucket.dirty)
             bucket.boundarySends +=
                 static_cast<std::uint64_t>(ch->flushBoundary());
@@ -295,61 +313,48 @@ Simulator::runShardTask(std::size_t shard)
 }
 
 void
-Simulator::runParallelPhase()
+Simulator::runShards(unsigned t, unsigned threads)
 {
-    const std::size_t shards = buckets_.size() - 1;
-    if (pool_.empty()) {
-        for (std::size_t s = 0; s < shards; ++s)
-            runShardTask(s);
-        return;
-    }
-    {
-        std::lock_guard<std::mutex> lock(poolMutex_);
-        poolNextShard_.store(0, std::memory_order_relaxed);
-        poolPending_ = pool_.size();
-        ++poolGeneration_;
-    }
-    poolCv_.notify_all();
-    std::size_t s;
-    while ((s = poolNextShard_.fetch_add(1)) < shards)
+    for (std::size_t s = t; s + 1 < buckets_.size(); s += threads)
         runShardTask(s);
-    std::unique_lock<std::mutex> lock(poolMutex_);
-    poolDoneCv_.wait(lock, [this] { return poolPending_ == 0; });
 }
 
 void
-Simulator::workerLoop()
+Simulator::runParallelPhase()
 {
-    std::uint64_t seen = 0;
+    // With no workers busy_ stays 0: the inline shard loop.
+    const auto threads = static_cast<unsigned>(pool_.size() + 1);
+    if (threads > 1) {
+        busy_.store(threads - 1, std::memory_order_relaxed);
+        phase_.fetch_add(1, std::memory_order_release);
+        phase_.notify_all();
+    }
+    runShards(0, threads);
+    await(busy_, [](unsigned n) { return n == 0; });
+}
+
+void
+Simulator::workerLoop(unsigned t, unsigned threads, std::uint64_t seen)
+{
     for (;;) {
-        {
-            std::unique_lock<std::mutex> lock(poolMutex_);
-            poolCv_.wait(lock, [&] {
-                return poolExit_ || poolGeneration_ != seen;
-            });
-            if (poolExit_)
-                return;
-            seen = poolGeneration_;
-        }
-        const std::size_t shards = buckets_.size() - 1;
-        std::size_t s;
-        while ((s = poolNextShard_.fetch_add(1)) < shards)
-            runShardTask(s);
-        {
-            std::lock_guard<std::mutex> lock(poolMutex_);
-            if (--poolPending_ == 0)
-                poolDoneCv_.notify_one();
-        }
+        seen = await(phase_, [seen](std::uint64_t p) { return p != seen; });
+        if (poolExit_)
+            return;
+        runShards(t, threads);
+        if (busy_.fetch_sub(1, std::memory_order_acq_rel) == 1)
+            busy_.notify_one();
     }
 }
 
 void
 Simulator::startPool(unsigned threads)
 {
-    poolExit_ = false;
-    pool_.reserve(threads);
-    for (unsigned t = 0; t < threads; ++t)
-        pool_.emplace_back([this] { workerLoop(); });
+    // From the current phase: a restarted pool must not rerun one.
+    const std::uint64_t seen = phase_.load(std::memory_order_relaxed);
+    pool_.reserve(threads - 1);
+    for (unsigned t = 1; t < threads; ++t)
+        pool_.emplace_back(
+            [this, t, threads, seen] { workerLoop(t, threads, seen); });
 }
 
 void
@@ -357,11 +362,9 @@ Simulator::stopPool()
 {
     if (pool_.empty())
         return;
-    {
-        std::lock_guard<std::mutex> lock(poolMutex_);
-        poolExit_ = true;
-    }
-    poolCv_.notify_all();
+    poolExit_ = true;
+    phase_.fetch_add(1, std::memory_order_release);
+    phase_.notify_all();
     for (std::thread &t : pool_)
         t.join();
     pool_.clear();
@@ -384,12 +387,6 @@ Simulator::stepOne()
         wakeDue(b);
     events_.runDue(now_);
     runParallelPhase();
-    for (std::size_t s = 0; s < serial; ++s) {
-        if (shardProgress_[s]) {
-            shardProgress_[s] = 0;
-            lastProgress_ = now_;
-        }
-    }
     flushBoundaries();
     stepBucket(serial);
     retireIdle(serial);

@@ -7,11 +7,9 @@
 #define MDW_SIM_SYSTEM_HH
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -139,11 +137,11 @@ class Simulator : public BoundaryRegistrar
 
     /**
      * Partition the components into @p parallelShards parallel shards
-     * plus one serial bucket and run the parallel phase on up to
-     * @p threads workers (1 = run the shard loop inline; results are
-     * identical either way). @p shardOf maps every registration index
-     * to its shard, with the value @p parallelShards meaning "serial
-     * bucket". Requires the fast path. Call before running.
+     * plus one serial bucket, stepped by @p threads threads (0 = one
+     * per hardware thread; 1 = inline; results are identical either
+     * way). @p shardOf maps every registration index to its shard,
+     * with @p parallelShards meaning "serial bucket". Requires the
+     * fast path. Call before running.
      */
     void setSharding(std::vector<std::uint32_t> shardOf,
                      std::size_t parallelShards, unsigned threads);
@@ -186,7 +184,7 @@ class Simulator : public BoundaryRegistrar
     {
         const int shard = shardctx::current;
         if (shard >= 0)
-            shardProgress_[static_cast<std::size_t>(shard)] = 1;
+            buckets_[static_cast<std::size_t>(shard)].progress = 1;
         else
             lastProgress_ = now_;
     }
@@ -221,7 +219,8 @@ class Simulator : public BoundaryRegistrar
     void retireIdle(std::size_t bucket);
     /** Step one bucket's active components in registration order. */
     void stepBucket(std::size_t bucket);
-    /** Drain every dirty boundary mailbox (main thread, barrier). */
+    /** Barrier (main thread): fold the shards' progress flags and
+     *  drain every dirty boundary mailbox. */
     void flushBoundaries();
     /**
      * First cycle in [now_, limit] at which anything can happen, or
@@ -229,10 +228,12 @@ class Simulator : public BoundaryRegistrar
      */
     Cycle nextActivity(Cycle limit) const;
 
-    /** Step and retire every parallel shard on the worker pool (or
-     *  inline when no pool exists). */
+    /** Step and retire every parallel shard; the caller is thread 0. */
     void runParallelPhase();
-    void workerLoop();
+    /** Thread t's shards: t, t + threads, t + 2 * threads, ... */
+    void runShards(unsigned t, unsigned threads);
+    /** Worker t; @p seen is the phase current at its start. */
+    void workerLoop(unsigned t, unsigned threads, std::uint64_t seen);
     void runShardTask(std::size_t shard);
     void startPool(unsigned threads);
     void stopPool();
@@ -258,9 +259,10 @@ class Simulator : public BoundaryRegistrar
     /**
      * One schedulable partition of the components. Buckets [0, shards)
      * are the parallel shards and the last bucket is the serial one
-     * (unsharded, the only bucket, holding everything).
+     * (unsharded, the only bucket, holding everything), each on its
+     * own cache lines: a shard's thread writes its bucket every step.
      */
-    struct Bucket
+    struct alignas(64) Bucket
     {
         /** Sorted indices of components stepped every cycle. */
         std::vector<std::size_t> runList;
@@ -282,6 +284,8 @@ class Simulator : public BoundaryRegistrar
         std::uint64_t wallNs = 0;
         /** Channels with buffered sends awaiting the barrier flush. */
         std::vector<BoundaryChannel *> dirty;
+        /** Shard progress this cycle, folded in at the barrier. */
+        char progress = 0;
     };
 
     bool fastPath_ = false;
@@ -290,19 +294,14 @@ class Simulator : public BoundaryRegistrar
     std::vector<std::uint32_t> bucketOf_;
     /** Earliest enqueued wake per component (dedup for wakeHeap). */
     std::vector<Cycle> wakeAt_;
-    /** Per-shard progress flags folded into lastProgress_ at the
-     *  barrier. */
-    std::vector<char> shardProgress_;
 
-    // --- worker pool (sharded mode with threads > 1) ---
+    // --- worker threads 1 .. T - 1 (sharded mode with T > 1) ---
     std::vector<std::thread> pool_;
-    std::mutex poolMutex_;
-    std::condition_variable poolCv_;
-    std::condition_variable poolDoneCv_;
-    std::uint64_t poolGeneration_ = 0;
+    /** Bumped to start each parallel phase, and once to stop. */
+    std::atomic<std::uint64_t> phase_{0};
+    /** Workers still stepping the current phase's shards. */
+    std::atomic<unsigned> busy_{0};
     bool poolExit_ = false;
-    std::atomic<std::size_t> poolNextShard_{0};
-    std::size_t poolPending_ = 0;
 };
 
 } // namespace mdw

@@ -424,33 +424,6 @@ MetricsRegistry::registerIntGauge(ScopeId scope, const char *leaf,
     add(scope, leaf, Source::Reader, source, read);
 }
 
-const char *
-MetricsRegistry::keep(const std::string &name)
-{
-    return names_.emplace_back(name).c_str();
-}
-
-void
-MetricsRegistry::registerCounter(const std::string &name,
-                                 const Counter *c)
-{
-    registerCounter(kRoot, keep(name), c);
-}
-
-void
-MetricsRegistry::registerSampler(const std::string &name,
-                                 const Sampler *s)
-{
-    registerSampler(kRoot, keep(name), s);
-}
-
-void
-MetricsRegistry::registerTimeAverage(const std::string &name,
-                                     const TimeAverage *t)
-{
-    registerTimeAverage(kRoot, keep(name), t);
-}
-
 void
 MetricsRegistry::registerIntGauge(ScopeId scope, const char *leaf,
                                   IntGaugeFn fn)
@@ -470,19 +443,6 @@ MetricsRegistry::registerGauge(ScopeId scope, const char *leaf,
     MDW_ASSERT(fn != nullptr, "null gauge registered as '%s'", leaf);
     add(scope, leaf, Source::Gauge,
         &gauges_.emplace_back(std::move(fn)));
-}
-
-void
-MetricsRegistry::registerGauge(const std::string &name, GaugeFn fn)
-{
-    registerGauge(kRoot, keep(name), std::move(fn));
-}
-
-void
-MetricsRegistry::registerIntGauge(const std::string &name,
-                                  IntGaugeFn fn)
-{
-    registerIntGauge(kRoot, keep(name), std::move(fn));
 }
 
 void

@@ -227,15 +227,6 @@ class MetricsRegistry
                           IntGaugeFn fn);
     void registerGauge(ScopeId scope, const char *leaf, GaugeFn fn);
 
-    /** Whole-name registration under kRoot: thin wrappers that keep
-     *  one copy of @p name and share the scoped storage. */
-    void registerCounter(const std::string &name, const Counter *c);
-    void registerSampler(const std::string &name, const Sampler *s);
-    void registerTimeAverage(const std::string &name,
-                             const TimeAverage *t);
-    void registerGauge(const std::string &name, GaugeFn fn);
-    void registerIntGauge(const std::string &name, IntGaugeFn fn);
-
     /** The clock time averages are read at; unset reads cycle 0. */
     void setClock(NowFn now) { now_ = std::move(now); }
 
@@ -275,7 +266,6 @@ class MetricsRegistry
 
     void add(ScopeId scope, const char *leaf, Source kind,
              const void *source, IntReader read = nullptr);
-    const char *keep(const std::string &name);
     void appendScope(std::string &out, ScopeId id) const;
     /**
      * Render every name into @p snap's arena, sized exactly, with one
@@ -284,11 +274,10 @@ class MetricsRegistry
      */
     void render(MetricsSnapshot &snap) const;
 
-    /** [kRoot] is the empty prefix. */
-    std::vector<Scope> scopes_;
-    std::vector<Metric> metrics_;
-    /** Storage behind the whole-name wrappers (stable addresses). */
-    std::deque<std::string> names_;
+    /** [kRoot] is the empty prefix. Both grow in fixed blocks, not
+     *  by doubling: no growth copies and no slack past one block. */
+    std::deque<Scope> scopes_;
+    std::deque<Metric> metrics_;
     std::deque<GaugeFn> gauges_;
     std::deque<IntGaugeFn> intGauges_;
     NowFn now_;

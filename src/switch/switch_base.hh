@@ -210,6 +210,13 @@ class SwitchBase : public Component
     const SwitchStats &stats() const { return stats_; }
     const SwitchRouting &routing() const { return *routing_; }
 
+    /** The channel output @p port sends on (null if unconnected). */
+    Channel<Flit> *
+    outChannel(PortId port) const
+    {
+        return outs_[static_cast<std::size_t>(port)].out;
+    }
+
     /** Flits ever sent on output @p port (link utilization). */
     std::uint64_t portTxFlits(PortId port) const;
 

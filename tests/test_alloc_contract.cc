@@ -429,7 +429,7 @@ TEST(AllocContract, NetworkBuildBytesPerSwitch)
 {
     // Everything the constructor allocates (topology, routing,
     // switches, NICs, channels, metric registrations, temporaries
-    // included), per switch: about 9,520 bytes, so the bound leaves
+    // included), per switch: about 7,810 bytes, so the bound leaves
     // about 5% headroom.
     const ScopedEnv lanes("MDW_LANES", nullptr);
     const ScopedEnv shards("MDW_SHARDS", nullptr);
@@ -439,7 +439,7 @@ TEST(AllocContract, NetworkBuildBytesPerSwitch)
         static_cast<double>(allocationBytes() - before) /
         static_cast<double>(net.numSwitches());
     ASSERT_EQ(net.numSwitches(), 256u);
-    EXPECT_LE(per_switch, 10000.0);
+    EXPECT_LE(per_switch, 8200.0);
 }
 
 TEST(AllocContract, SnapshotBytesPerMetric)

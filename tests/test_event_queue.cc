@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -358,6 +359,85 @@ TEST(Simulator, ShardRetireThenSerialSendWakesAtArrival)
     };
     for (int mode = 0; mode < 4; ++mode)
         EXPECT_EQ(run(mode), std::vector<Cycle>{kDelay}) << "mode " << mode;
+}
+
+namespace {
+
+/** Works once every @p period cycles from @p due on, reporting
+ *  progress each time; counts its steps and logs its work cycles. */
+class PeriodicWorker : public Component
+{
+  public:
+    PeriodicWorker(Cycle period, Cycle due)
+        : Component("periodic"), period_(period), due_(due)
+    {
+    }
+
+    void
+    step(Cycle now) override
+    {
+        ++steps;
+        if (now < due_)
+            return;
+        work.push_back(now);
+        due_ = now + period_;
+        sim_->noteProgress();
+    }
+
+    Cycle nextWork(Cycle) override { return due_; }
+
+    int steps = 0;
+    std::vector<Cycle> work;
+
+  private:
+    Cycle period_;
+    Cycle due_;
+};
+
+} // namespace
+
+// setSharding on a running simulator restarts its worker threads:
+// 4 shards on 2 threads, then 3 shards on 3 threads. Each run must
+// match the flat fast path step for step. Period-3 workers in
+// parallel shards make progress every cycle and the serial ones do
+// not, so a lost shard progress flag trips the 2-cycle watchdog.
+TEST(Simulator, ReshardingRestartsThreadsBitIdentical)
+{
+    constexpr std::size_t kWorkers = 12;
+    const auto run = [](bool sharded) {
+        Simulator sim;
+        std::vector<std::unique_ptr<PeriodicWorker>> workers;
+        for (std::size_t i = 0; i < kWorkers; ++i) {
+            workers.push_back(std::make_unique<PeriodicWorker>(
+                3 + 4 * (i % 5), i % 4));
+            sim.add(workers.back().get());
+        }
+        sim.setFastPath(true);
+        sim.setWatchdog(2, [] { return true; }, [] {});
+        // Worker i goes to bucket i % (shards + 1); bucket `shards`
+        // is the serial one.
+        const auto reshard = [&](std::uint32_t shards, unsigned threads) {
+            if (!sharded) {
+                sim.setFastPath(true);
+                return;
+            }
+            std::vector<std::uint32_t> shardOf(kWorkers);
+            for (std::size_t i = 0; i < kWorkers; ++i)
+                shardOf[i] = static_cast<std::uint32_t>(i % (shards + 1));
+            sim.setSharding(std::move(shardOf), shards, threads);
+        };
+        std::vector<std::pair<int, std::vector<Cycle>>> log;
+        for (const auto &[shards, threads] :
+             {std::pair{4u, 2u}, std::pair{3u, 3u}}) {
+            reshard(shards, threads);
+            sim.run(300);
+            EXPECT_FALSE(sim.deadlockDetected());
+            for (const auto &w : workers)
+                log.emplace_back(w->steps, w->work);
+        }
+        return log;
+    };
+    EXPECT_EQ(run(true), run(false));
 }
 
 } // namespace

@@ -438,8 +438,9 @@ TEST(ShardDiff, ShardAndThreadCountsBitIdentical)
     for (const char *tokens : tokensList) {
         const Config config = withTokens(tokens);
         const ExperimentResult slow = runMode(config, false);
+        // Three threads split 2, 4 and 8 shards unevenly.
         for (std::size_t shards : {1u, 2u, 4u, 8u}) {
-            for (unsigned threads : {1u, 2u}) {
+            for (unsigned threads : {1u, 2u, 3u}) {
                 SCOPED_TRACE(std::string(tokens) + " shards=" +
                              std::to_string(shards) + " threads=" +
                              std::to_string(threads));
@@ -457,6 +458,33 @@ TEST(ShardDiff, ShardAndThreadCountsBitIdentical)
     Network net(network);
     EXPECT_EQ(net.effectiveShards(), 4u);
     EXPECT_TRUE(net.serialReason().empty());
+}
+
+// End-to-end retransmission with no fault plan keeps every switch
+// free of shared state (retransmits and the tracker's dedup run in
+// the serial NIC phase), so it shards, and stays bit-identical. The
+// timeout is short enough that spurious retransmits really fire.
+TEST(ShardDiff, RetransmissionAloneShards)
+{
+    const ScopedEnv fastPath("MDW_FAST_PATH", nullptr);
+    const char *tokens = "nic.retransmitTimeout=150 workload.load=0.1";
+    const Config config = withTokens(tokens);
+    NetworkConfig network = defaultNetwork();
+    WorkloadParams traffic = defaultTraffic();
+    ExperimentParams params = defaultExperiment();
+    applyOverrides(config, network, traffic, params);
+    network.shards = 4;
+    {
+        Network net(network);
+        EXPECT_EQ(net.effectiveShards(), 4u);
+        EXPECT_TRUE(net.serialReason().empty());
+    }
+    const ExperimentResult slow = runMode(config, false);
+    EXPECT_GT(slow.metrics.counter("host.retransmits"), 0u);
+    expectSame(slow, runMode(config, true), tokens, "fast path");
+    expectSame(slow, runMode(config, true, 2), tokens, "2 shards");
+    expectSame(slow, runMode(config, true, 4, 2), tokens,
+               "4 shards on 2 threads");
 }
 
 // Subsystems that mutate shared state from switch steps must dissolve

@@ -19,6 +19,9 @@
 namespace mdw {
 namespace {
 
+/** Whole names register under the empty prefix. */
+constexpr MetricsRegistry::ScopeId kRoot = MetricsRegistry::kRoot;
+
 // --- MetricValue / MetricsSnapshot -----------------------------------
 
 TEST(MetricValue, CountersAddOnMerge)
@@ -82,10 +85,10 @@ TEST(MetricsRegistry, SnapshotsReadLiveSources)
     Counter c;
     Sampler s;
     MetricsRegistry reg;
-    reg.registerCounter("c", &c);
-    reg.registerSampler("s", &s);
-    reg.registerGauge("g", [] { return 2.5; });
-    reg.registerIntGauge("i", [] { return std::uint64_t{9}; });
+    reg.registerCounter(kRoot, "c", &c);
+    reg.registerSampler(kRoot, "s", &s);
+    reg.registerGauge(kRoot, "g", [] { return 2.5; });
+    reg.registerIntGauge(kRoot, "i", [] { return std::uint64_t{9}; });
 
     c.inc(3);
     s.add(1.0);
@@ -110,7 +113,7 @@ TEST(MetricsRegistry, ScopesRenderDottedNames)
     reg.registerCounter(port, "tx_flits", &c);
     reg.registerCounter(reg.scope("p", 2, reg.scope("link.", 7)), "naks",
                         &c);
-    reg.registerCounter("network.flits_in", &c);
+    reg.registerCounter(kRoot, "network.flits_in", &c);
     EXPECT_EQ(reg.size(), 4u);
     EXPECT_EQ(reg.names(),
               (std::vector<std::string>{"link.7.p2.naks",
@@ -130,8 +133,8 @@ TEST(MetricsRegistry, NamesAreSortedAndUnique)
         reg.registerCounter(nic, "retransmits", &c);
         reg.registerCounter(nic, "flits_injected", &c);
     }
-    reg.registerCounter("host.retransmits", &c);
-    reg.registerCounter("a", &c);
+    reg.registerCounter(kRoot, "host.retransmits", &c);
+    reg.registerCounter(kRoot, "a", &c);
     const std::vector<std::string> names = reg.names();
     ASSERT_EQ(names.size(), reg.size());
     EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
@@ -155,7 +158,7 @@ TEST(MetricsRegistryDeathTest, DuplicateNameIsFatal)
         {
             MetricsRegistry reg;
             reg.registerCounter(reg.scope("switch.", 1), "flits_in", &c);
-            reg.registerCounter("switch.1.flits_in", &c);
+            reg.registerCounter(kRoot, "switch.1.flits_in", &c);
             (void)reg.snapshot();
         },
         ::testing::ExitedWithCode(1),
@@ -182,7 +185,7 @@ TEST(MetricsRegistry, TimeAverageYieldsAvgAndPeak)
     reg.setClock([&now] { return now; });
     reg.registerTimeAverage(reg.scope("switch.", 0),
                             "cq.occupancy_chunks", &occupancy);
-    reg.registerTimeAverage("network.occupancy", &occupancy);
+    reg.registerTimeAverage(kRoot, "network.occupancy", &occupancy);
     EXPECT_EQ(reg.names(),
               (std::vector<std::string>{"network.occupancy.avg",
                                         "network.occupancy.peak",
@@ -209,7 +212,7 @@ TEST(MetricsRegistry, IntReaderGaugesReadTheirSource)
                          [](const void *g) {
                              return *static_cast<const std::uint64_t *>(g);
                          });
-    reg.registerIntGauge(MetricsRegistry::kRoot, "total",
+    reg.registerIntGauge(kRoot, "total",
                          [&grants] { return grants * 2; });
     grants = 5;
     const MetricsSnapshot snap = reg.snapshot();
@@ -224,9 +227,9 @@ TEST(MetricsSnapshot, SetCounterAfterSnapshotThenMerge)
     c.inc(4);
     s.add(2.0);
     MetricsRegistry reg;
-    reg.registerCounter("switch.0.flits_in", &c);
-    reg.registerSampler("tracker.latency.unicast", &s);
-    reg.registerGauge("network.cq.avg_chunks", [] { return 1.5; });
+    reg.registerCounter(kRoot, "switch.0.flits_in", &c);
+    reg.registerSampler(kRoot, "tracker.latency.unicast", &s);
+    reg.registerGauge(kRoot, "network.cq.avg_chunks", [] { return 1.5; });
 
     MetricsSnapshot first = reg.snapshot();
     // Added after the snapshot: sorted in, or overwriting in place.
