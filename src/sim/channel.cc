@@ -45,8 +45,11 @@ CreditChannel::send(int count, Cycle now, int lane)
 void
 CreditChannel::noteArrival(Cycle arrival)
 {
-    if (hint_ != nullptr && arrival < *hint_)
-        *hint_ = arrival;
+    if (hint_ != nullptr) {
+        if (arrival < *hint_)
+            *hint_ = arrival;
+        *liveWord_ |= std::uint64_t{1} << liveBit_;
+    }
     if (sink_ != nullptr)
         sink_->requestWake(arrival);
 }

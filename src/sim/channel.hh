@@ -27,6 +27,7 @@
 #include "sim/component.hh"
 #include "sim/logging.hh"
 #include "sim/ring.hh"
+#include "sim/slot_mask.hh"
 #include "sim/types.hh"
 
 namespace mdw {
@@ -166,11 +167,19 @@ class Channel : public BoundaryChannel
     void setWakeSink(Component *sink) { sink_ = sink; }
 
     /**
-     * Register the receiver's lower bound on nextArrival(): every
-     * arrival pushed into the receiver-visible queue lowers
-     * @p *bound to it (same thread and phase as the wake push).
+     * Register the receiver's activity state for this channel: every
+     * arrival pushed into the receiver-visible queue lowers @p *bound
+     * (a lower bound on nextArrival()) to it and sets bit @p slot of
+     * @p live, in the same thread and phase as the wake push. The
+     * receiver clears the bit when it finds the channel empty.
      */
-    void setArrivalHint(Cycle *bound) { hint_ = bound; }
+    void
+    setArrivalHint(Cycle *bound, SlotMask &live, std::size_t slot)
+    {
+        hint_ = bound;
+        liveWord_ = live.word(slot);
+        liveBit_ = static_cast<std::uint8_t>(slot & 63);
+    }
 
     /** Cycle the oldest in-flight item arrives, or kNoCycle. */
     Cycle
@@ -230,8 +239,11 @@ class Channel : public BoundaryChannel
     void
     noteArrival(Cycle arrival)
     {
-        if (hint_ != nullptr && arrival < *hint_)
-            *hint_ = arrival;
+        if (hint_ != nullptr) {
+            if (arrival < *hint_)
+                *hint_ = arrival;
+            *liveWord_ |= std::uint64_t{1} << liveBit_;
+        }
         if (sink_ != nullptr)
             sink_->requestWake(arrival);
     }
@@ -243,6 +255,8 @@ class Channel : public BoundaryChannel
     std::uint64_t totalSends_ = 0;
     Component *sink_ = nullptr;
     Cycle *hint_ = nullptr;
+    /** Word of the receiver's live-port mask (see setArrivalHint). */
+    std::uint64_t *liveWord_ = nullptr;
     ChannelHook<T> *hook_ = nullptr;
     // Boundary mode (registrar_ set): mailbox written only by the
     // sending shard's thread, drained only at the barrier.
@@ -250,6 +264,7 @@ class Channel : public BoundaryChannel
     BoundaryRegistrar *registrar_ = nullptr;
     std::uint32_t srcShard_ = 0;
     bool dirty_ = false;
+    std::uint8_t liveBit_ = 0;
 };
 
 /**
@@ -293,8 +308,14 @@ class CreditChannel : public BoundaryChannel
      */
     void setWakeSink(Component *sink) { sink_ = sink; }
 
-    /** Register the receiver's arrival bound (see Channel). */
-    void setArrivalHint(Cycle *bound) { hint_ = bound; }
+    /** Register the receiver's activity state (see Channel). */
+    void
+    setArrivalHint(Cycle *bound, SlotMask &live, std::size_t slot)
+    {
+        hint_ = bound;
+        liveWord_ = live.word(slot);
+        liveBit_ = static_cast<std::uint8_t>(slot & 63);
+    }
 
     /** Cycle the oldest in-flight grant arrives, or kNoCycle. */
     Cycle
@@ -325,12 +346,14 @@ class CreditChannel : public BoundaryChannel
     std::uint64_t totalSends_ = 0;
     Component *sink_ = nullptr;
     Cycle *hint_ = nullptr;
+    std::uint64_t *liveWord_ = nullptr;
     /** Boundary mode (registrar_ set): see Channel. */
     std::vector<Entry> pending_;
     BoundaryRegistrar *registrar_ = nullptr;
     std::uint32_t srcShard_ = 0;
     int inFlight_ = 0;
     bool dirty_ = false;
+    std::uint8_t liveBit_ = 0;
 };
 
 } // namespace mdw

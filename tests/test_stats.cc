@@ -7,6 +7,7 @@
 
 #include <cmath>
 
+#include "sim/rng.hh"
 #include "sim/stats.hh"
 
 namespace mdw {
@@ -264,6 +265,44 @@ TEST(TimeAverage, ResetKeepsValue)
     t.reset(100);
     EXPECT_DOUBLE_EQ(t.average(200), 8.0);
     EXPECT_DOUBLE_EQ(t.current(), 8.0);
+}
+
+TEST(TimeAverage, SamplingOnChangeIsBitIdentical)
+{
+    // The CB switch samples its central-queue occupancy only when it
+    // changes. A repeated sample only adds value x elapsed cycles to
+    // the weighted sum, and with integer values and cycle counts every
+    // such sum is exact in a double, so dropping the repeats (also
+    // across reset()) must not change a bit.
+    Rng rng(11);
+    TimeAverage every;
+    TimeAverage onChange;
+    double value = 0.0;
+    int checks = 0;
+    for (Cycle now = 0; now < 120000; ++now) {
+        if (now == 30000 || now == 30001 || now == 90000) {
+            every.reset(now);
+            onChange.reset(now);
+        }
+        // Runs of equal values: a change (possibly to the same value)
+        // on one cycle in eight, to 0..128 chunks.
+        if (rng.below(8) == 0)
+            value = static_cast<double>(rng.below(129));
+        every.update(value, now);
+        if (value != onChange.current())
+            onChange.update(value, now);
+        if (now % 613 == 0) {
+            ++checks;
+            EXPECT_EQ(every.average(now), onChange.average(now)) << now;
+            EXPECT_EQ(every.average(now + 37), onChange.average(now + 37))
+                << now;
+            EXPECT_EQ(every.peak(), onChange.peak()) << now;
+            EXPECT_EQ(every.current(), onChange.current()) << now;
+        }
+    }
+    EXPECT_GT(checks, 150);
+    EXPECT_GT(every.average(120000), 0.0);
+    EXPECT_EQ(every.average(120000), onChange.average(120000));
 }
 
 TEST(Counter, IncrementAndReset)

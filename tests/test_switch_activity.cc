@@ -1,16 +1,17 @@
 /**
  * @file
  * Tests for the activity-driven switch step: the per-port arrival
- * bounds, the held-input and busy-output masks, and decode-once.
+ * bounds and live-port masks, the held-input mask, the CB switch's
+ * per-mode output masks and CQ-writer count, and decode-once.
  *
  * SwitchActivity runs networks cycle by cycle and, after every cycle,
  * asks every switch to recompute its activity bookkeeping from scratch
- * (SwitchBase::activityExact). Every port a pipeline stage skips is
- * then one where running the stage would have done nothing. Coverage:
+ * (SwitchBase::activityExact). Every port or stage a step skips is
+ * then one where running it would have done nothing. Coverage:
  * both architectures under contended load, multi-lane switches,
  * fail-stop and transient faults, the sharded scheduler (whose
- * boundary flush lowers the bounds at the barrier), and hardware
- * barriers.
+ * boundary flush lowers the bounds and sets the live bits at the
+ * barrier), and hardware barriers.
  */
 
 #include <map>
