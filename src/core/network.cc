@@ -7,6 +7,28 @@
 
 namespace mdw {
 
+static_assert(sizeof(Channel<Flit>) == 64 && sizeof(CreditChannel) == 64,
+              "each channel direction is one cache line");
+
+namespace {
+
+/** Give channels[i] for every i in @p slots a side record from one
+ *  new array, kept in @p store. */
+template <typename Ch>
+void
+attachSides(std::vector<Ch> &channels,
+            const std::vector<std::size_t> &slots,
+            std::vector<std::unique_ptr<typename Ch::Side[]>> &store)
+{
+    if (slots.empty())
+        return;
+    store.push_back(std::make_unique<typename Ch::Side[]>(slots.size()));
+    for (std::size_t k = 0; k < slots.size(); ++k)
+        channels[slots[k]].setSide(&store.back()[k]);
+}
+
+} // namespace
+
 const char *
 toString(TopologyKind kind)
 {
@@ -116,6 +138,14 @@ Network::installLinkLayers(double ber, double residual,
     // fail-stop draws.
     const std::uint64_t family = Rng::streamSeed(seed, 0x44);
     std::uint64_t stream = 0;
+    std::vector<std::size_t> hooked;
+    forEachLink([&hooked](const LinkSite &link) {
+        if (link.b != kInvalidSwitch) {
+            hooked.push_back(link.flit);
+            hooked.push_back(link.flit + 1);
+        }
+    });
+    attachSides(flitChannels_, hooked, flitSides_);
     forEachLink([&](const LinkSite &link) {
         if (link.b == kInvalidSwitch)
             return;
@@ -532,18 +562,24 @@ Network::setupSharding()
                       : shardPlan_.switchShard[static_cast<std::size_t>(
                             sw)];
     };
+    // Their side records (mailboxes) form one array per sending
+    // shard, so a shard's thread writes only its own lines.
+    std::vector<std::vector<std::size_t>> flitsOf(shards);
+    std::vector<std::vector<std::size_t>> creditsOf(shards);
     forEachChannel([&](const LinkSite &, bool credit, std::size_t index,
                        int src, int snk, const char *) {
         if (src < 0 || shardOfEnd(src) == shardOfEnd(snk))
             return;
-        if (credit) {
-            creditChannels_[index].setBoundary(&sim_, shardOfEnd(src));
-            boundaryCredit_.push_back(&creditChannels_[index]);
-        } else {
-            flitChannels_[index].setBoundary(&sim_, shardOfEnd(src));
-            boundaryFlit_.push_back(&flitChannels_[index]);
-        }
+        (credit ? creditsOf : flitsOf)[shardOfEnd(src)].push_back(index);
     });
+    for (std::uint32_t s = 0; s < shards; ++s) {
+        attachSides(flitChannels_, flitsOf[s], flitSides_);
+        attachSides(creditChannels_, creditsOf[s], creditSides_);
+        for (const std::size_t index : flitsOf[s])
+            flitChannels_[index].setBoundary(&sim_, s);
+        for (const std::size_t index : creditsOf[s])
+            creditChannels_[index].setBoundary(&sim_, s);
+    }
     if (telemetry_.tracer() != nullptr)
         telemetry_.tracer()->setShards(shards);
     sim_.setSharding(std::move(shardOf), shards, threads);
@@ -558,12 +594,10 @@ Network::requireSerial(const std::string &why)
     if (effectiveShards_ == 0)
         return;
     sim_.clearSharding();
-    for (Channel<Flit> *ch : boundaryFlit_)
-        ch->setBoundary(nullptr, 0);
-    for (CreditChannel *ch : boundaryCredit_)
-        ch->setBoundary(nullptr, 0);
-    boundaryFlit_.clear();
-    boundaryCredit_.clear();
+    for (Channel<Flit> &ch : flitChannels_)
+        ch.setBoundary(nullptr, 0);
+    for (CreditChannel &ch : creditChannels_)
+        ch.setBoundary(nullptr, 0);
     if (telemetry_.tracer() != nullptr)
         telemetry_.tracer()->setShards(0);
     effectiveShards_ = 0;

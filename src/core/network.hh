@@ -353,12 +353,14 @@ class Network
      *  pointers into them); forEachChannel() names their slots. */
     std::vector<Channel<Flit>> flitChannels_;
     std::vector<CreditChannel> creditChannels_;
+    /** Side records of boundary and hooked channels: one array per
+     *  source shard (setupSharding) and one for the link hooks. */
+    std::vector<std::unique_ptr<Channel<Flit>::Side[]>> flitSides_;
+    std::vector<std::unique_ptr<CreditChannel::Side[]>> creditSides_;
 
     ShardPlan shardPlan_;
     std::size_t effectiveShards_ = 0;
     std::string serialReason_;
-    std::vector<Channel<Flit> *> boundaryFlit_;
-    std::vector<CreditChannel *> boundaryCredit_;
     std::vector<std::unique_ptr<LinkLayer>> linkLayers_;
 
     Telemetry telemetry_;

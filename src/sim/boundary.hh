@@ -14,19 +14,19 @@
 namespace mdw {
 
 /**
- * A channel operating in boundary mode: its sends are buffered into a
- * per-channel mailbox instead of touching the receiver-visible queue,
- * and the simulator drains the mailbox at the cycle barrier (in
- * deterministic shard/registration order) by calling flushBoundary().
+ * A channel operating in boundary mode, as its sending shard reports
+ * it: its sends are buffered into a mailbox instead of touching the
+ * receiver-visible queue, and the simulator drains the mailbox at the
+ * cycle barrier (in deterministic shard/registration order) by
+ * calling flush(channel). A plain function pointer rather than a
+ * virtual base keeps the channels themselves free of a vtable.
  */
-class BoundaryChannel
+struct BoundaryChannel
 {
-  public:
-    virtual ~BoundaryChannel() = default;
-
+    void *channel;
     /** Move buffered sends into the receiver-visible queue and apply
      *  the deferred sink wakes. Returns the number of items moved. */
-    virtual std::size_t flushBoundary() = 0;
+    std::size_t (*flush)(void *channel);
 };
 
 /**
@@ -40,7 +40,7 @@ class BoundaryRegistrar
 
     /** Called (once per dirty episode) by the sending shard. */
     virtual void boundaryDirty(std::uint32_t srcShard,
-                               BoundaryChannel *channel) = 0;
+                               BoundaryChannel channel) = 0;
 };
 
 } // namespace mdw

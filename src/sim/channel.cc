@@ -2,87 +2,55 @@
 
 namespace mdw {
 
-CreditChannel::CreditChannel(Cycle delay) : delay_(delay)
+namespace {
+
+/** Append @p grant to @p queue, merged into its newest entry when
+ *  that has the same ready cycle and lane. Always inlined: it is the
+ *  body of every direct grant. */
+template <typename Queue>
+[[gnu::always_inline]] inline void
+merge(Queue &queue, const CreditGrant &grant)
 {
-    MDW_ASSERT(delay_ >= 1, "credit channel: delay must be >= 1");
+    if (!queue.empty() && queue.back().ready == grant.ready &&
+        queue.back().lane == grant.lane)
+        queue.back().count += grant.count;
+    else
+        queue.push_back(grant);
 }
+
+} // namespace
 
 void
 CreditChannel::send(int count, Cycle now, int lane)
 {
     MDW_ASSERT(count > 0, "credit channel: non-positive grant %d", count);
     MDW_ASSERT(lane >= 0, "credit channel: negative lane %d", lane);
-    const Cycle ready = now + delay_;
-    totalSends_ += static_cast<std::uint64_t>(count);
-    if (registrar_ != nullptr) {
-        // inFlight_ is charged at the barrier flush, not here: the
-        // sink's shard decrements it in receive(), so the sending
-        // shard must not touch it mid-phase (the two run
-        // concurrently). Quiescence checks only look between cycles,
-        // when every mailbox has already been flushed.
-        if (!pending_.empty() && pending_.back().ready == ready &&
-            pending_.back().lane == lane) {
-            pending_.back().count += count;
-        } else {
-            pending_.push_back(Entry{ready, count, lane});
-        }
-        if (!dirty_) {
-            dirty_ = true;
-            registrar_->boundaryDirty(srcShard_, this);
-        }
+    const CreditGrant grant{now + delay_, count, lane};
+    if (mode_ != 0) {
+        side_->sends += static_cast<std::uint64_t>(count);
+        merge(side_->pending, grant);
+        markDirty();
         return;
     }
-    inFlight_ += count;
-    if (!queue_.empty() && queue_.back().ready == ready &&
-        queue_.back().lane == lane) {
-        queue_.back().count += count;
-    } else {
-        queue_.push_back(Entry{ready, count, lane});
-    }
-    noteArrival(ready);
-}
-
-void
-CreditChannel::noteArrival(Cycle arrival)
-{
-    if (hint_ != nullptr) {
-        if (arrival < *hint_)
-            *hint_ = arrival;
-        *liveWord_ |= std::uint64_t{1} << liveBit_;
-    }
-    if (sink_ != nullptr)
-        sink_->requestWake(arrival);
-}
-
-void
-CreditChannel::setBoundary(BoundaryRegistrar *registrar,
-                           std::uint32_t srcShard)
-{
-    MDW_ASSERT(pending_.empty(),
-               "credit channel: mode change with buffered grants");
-    registrar_ = registrar;
-    srcShard_ = srcShard;
+    totalSends_ += static_cast<std::uint64_t>(count);
+    merge(queue_, grant);
+    noteArrival(grant.ready);
 }
 
 std::size_t
 CreditChannel::flushBoundary()
 {
-    const std::size_t moved = pending_.size();
-    dirty_ = false;
-    if (moved == 0)
-        return 0;
-    const Cycle first = pending_.front().ready;
-    for (const Entry &entry : pending_) {
-        inFlight_ += entry.count;
-        if (!queue_.empty() && queue_.back().ready == entry.ready &&
-            queue_.back().lane == entry.lane)
-            queue_.back().count += entry.count;
-        else
-            queue_.push_back(entry);
-    }
-    pending_.clear();
-    noteArrival(first);
-    return moved;
+    return drainMailbox(
+        [this](CreditGrant &&grant) { merge(queue_, grant); });
+}
+
+int
+CreditChannel::inFlight() const
+{
+    int total = 0;
+    for (std::size_t i = 0; i < queue_.size(); ++i)
+        total += queue_[i].count;
+    return total;
 }
 
 int
@@ -93,7 +61,6 @@ CreditChannel::receive(Cycle now)
         total += queue_.front().count;
         queue_.pop_front();
     }
-    inFlight_ -= total;
     return total;
 }
 
@@ -102,7 +69,7 @@ CreditChannel::receiveByLane(Cycle now, std::span<int> laneCounts)
 {
     int total = 0;
     while (!queue_.empty() && queue_.front().ready <= now) {
-        const Entry &front = queue_.front();
+        const CreditGrant &front = queue_.front();
         MDW_ASSERT(front.lane <
                        static_cast<int>(laneCounts.size()),
                    "credit channel: grant on lane %d but receiver "
@@ -113,7 +80,6 @@ CreditChannel::receiveByLane(Cycle now, std::span<int> laneCounts)
         total += front.count;
         queue_.pop_front();
     }
-    inFlight_ -= total;
     return total;
 }
 

@@ -11,12 +11,18 @@
  *
  * Unlike std::deque, growth moves every element: a reference from
  * front()/back() is invalidated by a push_back on the same ring.
+ *
+ * The mask and indices are 32-bit, so a ring is a pointer plus 12
+ * bytes; a class holding one as a [[no_unique_address]] member may
+ * place up to 4 bytes of small fields in the rest of its 8-byte slot
+ * (the channels do, to fit one cache line).
  */
 
 #ifndef MDW_SIM_RING_HH
 #define MDW_SIM_RING_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <utility>
 
@@ -69,6 +75,13 @@ class Ring
         --size_;
     }
 
+    /** The @p i-th oldest element (i < size()). */
+    const T &
+    operator[](std::size_t i) const
+    {
+        return buf_[(head_ + i) & mask_];
+    }
+
     T &front() { return buf_[head_]; }
     const T &front() const { return buf_[head_]; }
     T &back() { return buf_[(head_ + size_ - 1) & mask_]; }
@@ -84,7 +97,7 @@ class Ring
     }
 
   private:
-    std::size_t capacity() const { return buf_ ? mask_ + 1 : 0; }
+    std::uint32_t capacity() const { return buf_ ? mask_ + 1 : 0; }
 
     void
     swap(Ring &other) noexcept
@@ -98,9 +111,10 @@ class Ring
     void
     grow()
     {
-        const std::size_t cap = buf_ ? 2 * (mask_ + 1) : 4;
+        MDW_ASSERT(mask_ < UINT32_MAX / 2, "ring: capacity overflow");
+        const std::uint32_t cap = buf_ ? 2 * (mask_ + 1) : 4;
         auto fresh = std::make_unique<T[]>(cap);
-        for (std::size_t i = 0; i < size_; ++i)
+        for (std::uint32_t i = 0; i < size_; ++i)
             fresh[i] = std::move(buf_[(head_ + i) & mask_]);
         buf_ = std::move(fresh);
         mask_ = cap - 1;
@@ -108,9 +122,9 @@ class Ring
     }
 
     std::unique_ptr<T[]> buf_;
-    std::size_t mask_ = 0;
-    std::size_t head_ = 0;
-    std::size_t size_ = 0;
+    std::uint32_t mask_ = 0;
+    std::uint32_t head_ = 0;
+    std::uint32_t size_ = 0;
 };
 
 } // namespace mdw

@@ -270,7 +270,7 @@ Simulator::stepBucket(std::size_t b)
 
 void
 Simulator::boundaryDirty(std::uint32_t srcShard,
-                         BoundaryChannel *channel)
+                         BoundaryChannel channel)
 {
     MDW_ASSERT(srcShard < buckets_.size(),
                "boundary channel on unknown shard %u", srcShard);
@@ -291,9 +291,9 @@ Simulator::flushBoundaries()
             bucket.progress = 0;
             lastProgress_ = now_;
         }
-        for (BoundaryChannel *ch : bucket.dirty)
+        for (const BoundaryChannel &ch : bucket.dirty)
             bucket.boundarySends +=
-                static_cast<std::uint64_t>(ch->flushBoundary());
+                static_cast<std::uint64_t>(ch.flush(ch.channel));
         bucket.dirty.clear();
     }
 }

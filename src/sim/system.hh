@@ -206,7 +206,7 @@ class Simulator : public BoundaryRegistrar
     // BoundaryRegistrar: a boundary channel's first buffered send of
     // the current dirty episode (sending shard's thread).
     void boundaryDirty(std::uint32_t srcShard,
-                       BoundaryChannel *channel) override;
+                       BoundaryChannel channel) override;
 
   private:
     void checkWatchdog();
@@ -283,7 +283,7 @@ class Simulator : public BoundaryRegistrar
         /** Wall nanoseconds spent in this bucket's parallel phase. */
         std::uint64_t wallNs = 0;
         /** Channels with buffered sends awaiting the barrier flush. */
-        std::vector<BoundaryChannel *> dirty;
+        std::vector<BoundaryChannel> dirty;
         /** Shard progress this cycle, folded in at the barrier. */
         char progress = 0;
     };

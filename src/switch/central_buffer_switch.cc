@@ -385,15 +385,17 @@ void
 CentralBufferSwitch::consumeBarrierToken(std::size_t i, Cycle now)
 {
     const std::size_t port = i / static_cast<std::size_t>(lanes());
-    const PacketRecord rec = fifos_[i].packets.front();
+    const PacketDesc &token = *fifos_[i].packets.front().pkt;
+    const int flits = token.totalFlits();
+    const int group = token.barrierGroup;
     popInputPacket(i);
-    releaseInput(i, rec.pkt->totalFlits(), now);
+    releaseInput(i, flits, now);
     barrierTokens_.inc();
     if (sim_)
         sim_->noteProgress();
 
-    const BarrierUnit::Emit emit = barrier_.onArrive(
-        rec.pkt->barrierGroup, static_cast<PortId>(port));
+    const BarrierUnit::Emit emit =
+        barrier_.onArrive(group, static_cast<PortId>(port));
     if (emit.group >= 0)
         barrierEmissions_.push_back(emit);
 }

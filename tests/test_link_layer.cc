@@ -98,6 +98,8 @@ TEST(LinkLayer, CleanPassThrough)
     PacketFactory factory;
     Channel<Flit> ch(2);
     LinkLayer layer("ab", 0, 4, 2, params(), 99);
+    Channel<Flit>::Side side;
+    ch.setSide(&side);
     ch.setHook(&layer);
 
     ch.send(Flit(makePacket(factory), 0), 10);
@@ -118,6 +120,8 @@ TEST(LinkLayer, NakReplayDelaysOneRoundTrip)
     const Cycle delay = 2;
     Channel<Flit> ch(delay);
     LinkLayer layer("ab", 0, 4, delay, params(), 99);
+    Channel<Flit>::Side side;
+    ch.setSide(&side);
     ch.setHook(&layer);
 
     layer.forceCorrupt(1);
@@ -144,6 +148,8 @@ TEST(LinkLayer, ResidualErrorTaintsBranch)
     factory.enableIntegrityTracking();
     Channel<Flit> ch(1);
     LinkLayer layer("ab", 0, 4, 1, params(), 99);
+    Channel<Flit>::Side side;
+    ch.setSide(&side);
     ch.setHook(&layer);
 
     PacketPtr pkt = makePacket(factory);
@@ -170,6 +176,8 @@ TEST(LinkLayer, ResidualWithoutTaintPoisons)
     Channel<Flit> ch(1);
     LinkLayer layer("ab", 0, 4, 1, params(), 99);
     layer.setPoisonRegistry(&poisoned);
+    Channel<Flit>::Side side;
+    ch.setSide(&side);
     ch.setHook(&layer);
 
     PacketPtr pkt = makePacket(factory);
@@ -186,6 +194,8 @@ TEST(LinkLayer, FullReplayBufferStallsDeparture)
     const Cycle delay = 4;
     Channel<Flit> ch(delay);
     LinkLayer layer("ab", 0, 4, delay, params(16, 2), 99);
+    Channel<Flit>::Side side;
+    ch.setSide(&side);
     ch.setHook(&layer);
     PacketPtr pkt = makePacket(factory);
 
@@ -210,6 +220,8 @@ TEST(LinkLayer, ReplayBufferWrapsAroundUnderStreaming)
     const Cycle delay = 3;
     Channel<Flit> ch(delay);
     LinkLayer layer("ab", 0, 4, delay, params(16, 2), 99);
+    Channel<Flit>::Side side;
+    ch.setSide(&side);
     ch.setHook(&layer);
     PacketPtr pkt = makePacket(factory, 16);
 
@@ -243,6 +255,10 @@ TEST(LinkLayer, SimultaneousBidirectionalCorruption)
     Channel<Flit> ba(delay);
     LinkLayer fwd("ab", 0, 4, delay, params(), 7);
     LinkLayer rev("ba", 1, 2, delay, params(), 8);
+    Channel<Flit>::Side abSide;
+    Channel<Flit>::Side baSide;
+    ab.setSide(&abSide);
+    ba.setSide(&baSide);
     ab.setHook(&fwd);
     ba.setHook(&rev);
 
@@ -271,6 +287,8 @@ TEST(LinkLayer, EscalationBoundaryNMinusOneSucceeds)
     const int limit = 4;
     Channel<Flit> ch(1);
     LinkLayer layer("ab", 0, 4, 1, params(limit), 99);
+    Channel<Flit>::Side side;
+    ch.setSide(&side);
     ch.setHook(&layer);
 
     // limit-1 corrupted traversals leave one attempt in the budget:
@@ -295,6 +313,8 @@ TEST(LinkLayer, EscalationBoundaryNExhaustsAndFailsStop)
     layer.setPoisonRegistry(&poisoned);
     layer.setEscalation(
         [&escalations](Cycle when) { escalations.push_back(when); });
+    Channel<Flit>::Side side;
+    ch.setSide(&side);
     ch.setHook(&layer);
 
     PacketPtr pkt = makePacket(factory);
@@ -326,6 +346,8 @@ TEST(LinkLayer, FlapRideThrough)
     flap.start = 5;
     flap.end = 10;
     layer.setFlaps({flap});
+    Channel<Flit>::Side side;
+    ch.setSide(&side);
     ch.setHook(&layer);
 
     // Departures at 5 and 9 (after one retry timeout of 2*1+2) both
@@ -354,6 +376,8 @@ TEST(LinkLayer, FlapLongerThanRetryBudgetEscalates)
     layer.setPoisonRegistry(&poisoned);
     layer.setEscalation(
         [&escalations](Cycle when) { escalations.push_back(when); });
+    Channel<Flit>::Side side;
+    ch.setSide(&side);
     ch.setHook(&layer);
 
     PacketPtr pkt = makePacket(factory);
@@ -371,6 +395,8 @@ TEST(LinkLayer, MarkDeadDropsLaterSends)
     Channel<Flit> ch(1);
     LinkLayer layer("ab", 0, 4, 1, params(), 99);
     layer.setPoisonRegistry(&poisoned);
+    Channel<Flit>::Side side;
+    ch.setSide(&side);
     ch.setHook(&layer);
 
     layer.markDead();

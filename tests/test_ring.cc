@@ -40,6 +40,8 @@ TEST(Ring, FifoOrderAcrossWrapAndGrowth)
             ++popped;
         }
         ASSERT_EQ(ring.size(), static_cast<std::size_t>(pushed - popped));
+        for (std::size_t i = 0; i < ring.size(); ++i)
+            ASSERT_EQ(ring[i], popped + static_cast<int>(i));
     }
     while (!ring.empty()) {
         ASSERT_EQ(ring.front(), popped);

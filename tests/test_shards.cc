@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,11 +34,11 @@ namespace {
 /** Captures boundaryDirty callbacks like the simulator would. */
 struct RecordingRegistrar : BoundaryRegistrar
 {
-    std::vector<std::pair<std::uint32_t, BoundaryChannel *>> dirty;
+    std::vector<std::pair<std::uint32_t, BoundaryChannel>> dirty;
 
     void
     boundaryDirty(std::uint32_t srcShard,
-                  BoundaryChannel *channel) override
+                  BoundaryChannel channel) override
     {
         dirty.emplace_back(srcShard, channel);
     }
@@ -46,6 +48,8 @@ TEST(BoundaryChannel, SendsStayInvisibleUntilFlush)
 {
     RecordingRegistrar reg;
     Channel<int> ch(1);
+    Channel<int>::Side side;
+    ch.setSide(&side);
     ch.setBoundary(&reg, 3);
 
     ch.send(7, 10);
@@ -59,7 +63,7 @@ TEST(BoundaryChannel, SendsStayInvisibleUntilFlush)
     // Exactly one dirty notification for the whole burst.
     ASSERT_EQ(reg.dirty.size(), 1u);
     EXPECT_EQ(reg.dirty[0].first, 3u);
-    EXPECT_EQ(reg.dirty[0].second, &ch);
+    EXPECT_EQ(reg.dirty[0].second.channel, &ch);
 
     // The barrier flush makes everything visible at its stamped
     // arrival cycle, in order.
@@ -85,6 +89,8 @@ TEST(BoundaryChannel, CreditGrantsMergeAndFlush)
 {
     RecordingRegistrar reg;
     CreditChannel ch(1);
+    CreditChannel::Side side;
+    ch.setSide(&side);
     ch.setBoundary(&reg, 1);
 
     ch.send(2, 5);
@@ -112,6 +118,8 @@ TEST(BoundaryChannel, LaneTaggedCreditsFlushPerLane)
     // after the barrier flush.
     RecordingRegistrar reg;
     CreditChannel ch(1);
+    CreditChannel::Side side;
+    ch.setSide(&side);
     ch.setBoundary(&reg, 1);
 
     ch.send(2, 5, /*lane=*/0);
@@ -126,6 +134,137 @@ TEST(BoundaryChannel, LaneTaggedCreditsFlushPerLane)
     EXPECT_EQ(ch.inFlight(), 0);
 }
 
+TEST(BoundaryChannel, ContractBeforeAndAfterFlush)
+{
+    // busy() and totalSends() answer for buffered sends exactly as
+    // for delivered ones: the sender sees its own send at once, the
+    // receiver only after the flush.
+    RecordingRegistrar reg;
+    Channel<int> ch(2);
+    Channel<int>::Side side;
+    ch.setSide(&side);
+    ch.setBoundary(&reg, 0);
+    EXPECT_FALSE(ch.busy(10));
+    EXPECT_EQ(ch.totalSends(), 0u);
+
+    ch.send(5, 10);
+    EXPECT_TRUE(ch.busy(10));
+    EXPECT_FALSE(ch.busy(11));
+    EXPECT_EQ(ch.peek(20), nullptr);
+    EXPECT_EQ(ch.nextArrival(), kNoCycle);
+    EXPECT_EQ(ch.inFlight(), 1u);
+    EXPECT_EQ(ch.totalSends(), 1u);
+
+    EXPECT_EQ(ch.flushBoundary(), 1u);
+    EXPECT_TRUE(ch.busy(10)); // the flush does not undo the send
+    EXPECT_EQ(ch.peek(11), nullptr);
+    ASSERT_NE(ch.peek(12), nullptr);
+    EXPECT_EQ(*ch.peek(12), 5);
+    EXPECT_EQ(ch.nextArrival(), 12u);
+    EXPECT_EQ(ch.inFlight(), 1u);
+    EXPECT_EQ(ch.totalSends(), 1u);
+
+    ch.send(6, 11);
+    EXPECT_TRUE(ch.busy(11));
+    EXPECT_EQ(ch.nextArrival(), 12u);
+    EXPECT_EQ(ch.inFlight(), 2u);
+    EXPECT_EQ(ch.totalSends(), 2u);
+    EXPECT_EQ(ch.flushBoundary(), 1u);
+    EXPECT_EQ(ch.receive(12), 5);
+    EXPECT_EQ(ch.receive(13), 6);
+    EXPECT_EQ(ch.nextArrival(), kNoCycle);
+    EXPECT_EQ(ch.inFlight(), 0u);
+    EXPECT_EQ(ch.totalSends(), 2u);
+}
+
+TEST(BoundaryChannel, CreditContractBeforeAndAfterFlush)
+{
+    RecordingRegistrar reg;
+    CreditChannel ch(2);
+    CreditChannel::Side side;
+    ch.setSide(&side);
+    ch.setBoundary(&reg, 0);
+    EXPECT_EQ(ch.totalSends(), 0u);
+
+    ch.send(2, 10);
+    ch.send(1, 11);
+    EXPECT_EQ(ch.nextArrival(), kNoCycle);
+    EXPECT_EQ(ch.inFlight(), 0); // charged at the flush
+    EXPECT_EQ(ch.totalSends(), 3u);
+
+    EXPECT_EQ(ch.flushBoundary(), 2u);
+    EXPECT_EQ(ch.nextArrival(), 12u);
+    EXPECT_EQ(ch.inFlight(), 3);
+    EXPECT_EQ(ch.totalSends(), 3u);
+    EXPECT_EQ(ch.receive(12), 2);
+    EXPECT_EQ(ch.nextArrival(), 13u);
+    EXPECT_EQ(ch.inFlight(), 1);
+    EXPECT_EQ(ch.receive(13), 1);
+    EXPECT_EQ(ch.nextArrival(), kNoCycle);
+    EXPECT_EQ(ch.inFlight(), 0);
+    EXPECT_EQ(ch.totalSends(), 3u);
+}
+
+/** The channel's cache line, byte for byte. */
+template <typename Ch>
+std::array<unsigned char, sizeof(Ch)>
+lineOf(const Ch &ch)
+{
+    std::array<unsigned char, sizeof(Ch)> bytes;
+    std::memcpy(bytes.data(), static_cast<const void *>(&ch), sizeof(Ch));
+    return bytes;
+}
+
+TEST(BoundaryChannel, SenderWritesOnlyTheSideRecord)
+{
+    // One writer per line: mid-phase, the sending shard's thread
+    // writes the side record and leaves the channel's line (which the
+    // receiving shard's thread reads and pops) byte-identical.
+    RecordingRegistrar reg;
+    Channel<int> ch(1);
+    Channel<int>::Side side;
+    ch.setSide(&side);
+    EXPECT_EQ(ch.mode(), 0u);
+    ch.setBoundary(&reg, 2);
+    EXPECT_EQ(ch.mode(), Channel<int>::kBoundary);
+    EXPECT_EQ(ch.side(), &side);
+    EXPECT_EQ(side.registrar, &reg);
+    EXPECT_EQ(side.srcShard, 2u);
+
+    const auto line = lineOf(ch);
+    EXPECT_FALSE(ch.busy(10));
+    ch.send(1, 10);
+    EXPECT_TRUE(ch.busy(10));
+    ch.send(2, 11);
+    EXPECT_EQ(lineOf(ch), line);
+    EXPECT_EQ(side.pending.size(), 2u);
+    EXPECT_TRUE(side.dirty);
+    EXPECT_EQ(side.sends, 2u);
+    EXPECT_EQ(side.lastSend, 11u);
+
+    // The barrier flush (main thread) moves it all onto the line.
+    EXPECT_EQ(ch.flushBoundary(), 2u);
+    EXPECT_NE(lineOf(ch), line);
+    EXPECT_TRUE(side.pending.empty());
+    EXPECT_FALSE(side.dirty);
+    EXPECT_EQ(side.sends, 0u);
+    EXPECT_EQ(ch.totalSends(), 2u);
+
+    CreditChannel credit(1);
+    CreditChannel::Side creditSide;
+    credit.setSide(&creditSide);
+    credit.setBoundary(&reg, 2);
+    const auto creditLine = lineOf(credit);
+    credit.send(3, 10);
+    credit.send(1, 10, /*lane=*/1);
+    EXPECT_EQ(lineOf(credit), creditLine);
+    EXPECT_EQ(creditSide.pending.size(), 2u);
+    EXPECT_EQ(creditSide.sends, 4u);
+    EXPECT_EQ(credit.flushBoundary(), 2u);
+    EXPECT_EQ(credit.inFlight(), 4);
+    EXPECT_EQ(credit.totalSends(), 4u);
+}
+
 TEST(BoundaryChannelDeath, HookAndBoundaryAreExclusive)
 {
     struct NullHook : ChannelHook<int>
@@ -136,6 +275,8 @@ TEST(BoundaryChannelDeath, HookAndBoundaryAreExclusive)
     RecordingRegistrar reg;
     NullHook hook;
     Channel<int> ch(1);
+    Channel<int>::Side side;
+    ch.setSide(&side);
     ch.setHook(&hook);
     EXPECT_DEATH(ch.setBoundary(&reg, 0), "link hook");
     ch.setHook(nullptr);
