@@ -318,7 +318,7 @@ Nic::enqueueSegmented(PacketDesc proto)
 void
 Nic::step(Cycle now)
 {
-    if (txCreditIn_)
+    if (txCreditIn_ && txCreditIn_->nextArrival() <= now)
         (void)txCreditIn_->receiveByLane(now, txCredits_);
     pollSource(now);
     stepTx(now);

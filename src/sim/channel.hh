@@ -318,6 +318,13 @@ class Channel : public ChannelBase<Channel<T>, Stamped<T>, ChannelHook<T>>
     {
         MDW_ASSERT(!busy(now), "channel: two sends in cycle %llu",
                    static_cast<unsigned long long>(now));
+        sendUnchecked(std::move(item), now);
+    }
+
+    /** send() for a caller that has just found !busy(now) itself. */
+    void
+    sendUnchecked(T item, Cycle now)
+    {
         if (mode_ != 0) {
             sendViaSide(std::move(item), now);
             return;

@@ -105,22 +105,23 @@ CentralBufferSwitch::step(Cycle now)
         fabricateFailedArrivals();
         drainTombstones(now);
     }
-    // Each stage runs only when its mask or count says it has work: a
-    // skipped stage would have found nothing to do (and its arbiter,
-    // given no requesters, would not have moved).
-    if (inputsBuffered())
+    // Each stage runs only when its mask, flag or gate says it can
+    // act: a skipped stage would have found nothing to do (and its
+    // arbiter, given no requesters, would not have moved).
+    if (now >= decideAt_)
         decide(now);
     if (!barrierEmissions_.empty())
         processBarrierEmissions(now);
     if (bypassOut_.any())
         bypassTransmit(now);
-    if (cqWriters_ != 0)
+    if (now >= writeAt_)
         cqWrite(now);
-    if (streamOut_.any()) {
+    if (activateDue_)
         activateStreams();
+    if (now >= readAt_)
         cqRead(now);
+    if (streamOut_.any())
         streamTransmit(now);
-    }
     // Sampled only when it changes: a repeated sample adds
     // value x cycles, and chunk and cycle counts are integers that a
     // double holds exactly, so the time average is bit-identical.
@@ -237,14 +238,59 @@ CentralBufferSwitch::activityExact(std::string *why) const
                      std::to_string(out.fifoFlits) +
                      " flits outside a stream");
     }
-    const auto writers = std::count_if(
-        inputs_.begin(), inputs_.end(), [](const InputState &in) {
-            return in.mode == InMode::CentralQueue;
-        });
-    if (writers != cqWriters_)
-        complain("CQ-writer count " + std::to_string(cqWriters_) +
-                 " with " + std::to_string(writers) +
-                 " inputs writing");
+    if (sim_ == nullptr)
+        return ok;
+    // Every gate must open by the earliest cycle its stage can act:
+    // the next step (now) when it can act at once, else when enough
+    // flits can have arrived (one per cycle per input FIFO, taken in
+    // by intake() ahead of the stages, so counted from the last step)
+    // or left (one per cycle per output FIFO, sent after cqRead(), so
+    // counted from the next step).
+    const Cycle now = sim_->now();
+    auto checkGate = [&](const char *what, Cycle gate, std::size_t slot,
+                         Cycle earliest) {
+        if (gate > earliest)
+            complain(std::string(what) + " gate " + std::to_string(gate) +
+                     " after slot " + std::to_string(slot) +
+                     " can act at " + std::to_string(earliest));
+    };
+    auto after = [now](int flits) {
+        return flits <= 0 ? now : now + static_cast<Cycle>(flits - 1);
+    };
+    for (std::size_t i = held_.next(0); i != SlotMask::kEnd;
+         i = held_.next(i + 1)) {
+        const InputState &in = inputs_[i];
+        const PacketRecord &rec = fifos_[i].packets.front();
+        const int total = rec.pkt->totalFlits();
+        if (in.mode == InMode::Deciding) {
+            // A complete header; a barrier token is absorbed whole.
+            const int needed = rec.pkt->kind == PacketKind::BarrierArrive
+                                   ? total
+                                   : rec.pkt->headerFlits;
+            checkGate("decide", decideAt_, i, after(needed - rec.arrived));
+        } else if (in.mode == InMode::CentralQueue) {
+            // A staged chunk, or the staged tail of the packet.
+            const int staged = rec.arrived - in.consumed;
+            const int missing =
+                std::min(cbParams_.chunkFlits - staged, total - rec.arrived);
+            checkGate("CQ-write", writeAt_, i, after(missing));
+        }
+    }
+    for (std::size_t o = 0; o < outputs_.size(); ++o) {
+        const OutputState &out = outputs_[o];
+        if (out.idle() && !out.queue.empty() && !activateDue_)
+            complain("output " + std::to_string(o) +
+                     " idle with queued branches and no activation due");
+        if (out.mode != OutputState::Mode::Stream ||
+            out.readSeq >= out.current.branchPkt->totalFlits() ||
+            cq_.readable(out.current.entry, out.current.reader) <= 0)
+            continue;
+        // A readable chunk and room for it.
+        const int short_by = cbParams_.chunkFlits -
+                             (cbParams_.outputFifoFlits - out.fifoFlits);
+        checkGate("CQ-read", readAt_, o,
+                  now + static_cast<Cycle>(std::max(0, short_by)));
+    }
     return ok;
 }
 
@@ -295,6 +341,9 @@ CentralBufferSwitch::attachTelemetry(Telemetry &telemetry)
 void
 CentralBufferSwitch::decide(Cycle now)
 {
+    // Rebuilt from every deciding input (a pop during the pass sets it
+    // to 0 for the new head).
+    decideAt_ = kNoCycle;
     for (std::size_t i = held_.next(0); i != SlotMask::kEnd;
          i = held_.next(i + 1)) {
         InputState &input = inputs_[i];
@@ -305,14 +354,23 @@ CentralBufferSwitch::decide(Cycle now)
                    "header (%d flits) exceeds input FIFO (%d flits); "
                    "enlarge cb.inputFifoFlits",
                    rec.pkt->headerFlits, cbParams_.inputFifoFlits);
-        if (rec.arrived < rec.pkt->headerFlits)
+        // Waiting for flits: the FIFO gains at most one per cycle.
+        if (rec.arrived < rec.pkt->headerFlits) {
+            decideAt_ = std::min(
+                decideAt_,
+                now + static_cast<Cycle>(rec.pkt->headerFlits - rec.arrived));
             continue;
+        }
 
         if (rec.pkt->kind == PacketKind::BarrierArrive) {
             // Combined by the barrier unit, never routed. Absorb the
             // token once it has fully arrived.
-            if (rec.arrived == rec.pkt->totalFlits())
+            const int missing = rec.pkt->totalFlits() - rec.arrived;
+            if (missing == 0)
                 consumeBarrierToken(i, now);
+            else
+                decideAt_ =
+                    std::min(decideAt_, now + static_cast<Cycle>(missing));
             continue;
         }
 
@@ -345,8 +403,11 @@ CentralBufferSwitch::decide(Cycle now)
             decideUnicast(i, *route, now);
         } else if (decideMulticast(i, *route, now)) {
             unpark(i);
-        } else if (route == &decoded) {
-            park(i, std::move(decoded));
+        } else {
+            // Waiting for its reservation: retry every cycle.
+            decideAt_ = std::min(decideAt_, now + 1);
+            if (route == &decoded)
+                park(i, std::move(decoded));
         }
     }
 }
@@ -423,6 +484,7 @@ CentralBufferSwitch::processBarrierEmissions(Cycle now)
             const auto entry = cq_.addReserved(
                 pkt, static_cast<int>(route.downBranches.size()));
             cq_.write(entry, pkt->totalFlits());
+            readAt_ = 0;
             stats_.packetsRouted.inc();
             if (route.downBranches.size() > 1) {
                 stats_.replications.inc(route.downBranches.size() - 1);
@@ -456,6 +518,7 @@ CentralBufferSwitch::processBarrierEmissions(Cycle now)
             const PacketPtr pkt = makePacket_(std::move(desc));
             const auto entry = cq_.addUnreserved(pkt, 1);
             cq_.write(entry, pkt->totalFlits());
+            readAt_ = 0;
             enqueueBranch(laneIdx(static_cast<std::size_t>(emit.upPort), 0),
                           QueueItem{entry, 0, pkt});
         }
@@ -510,7 +573,7 @@ CentralBufferSwitch::decideUnicast(std::size_t i,
     } else {
         input.entry = cq_.addUnreserved(pkt, 1);
         input.mode = InMode::CentralQueue;
-        ++cqWriters_;
+        writeAt_ = 0;
         enqueueBranch(o, QueueItem{input.entry, 0, std::move(branch_pkt)});
     }
 }
@@ -569,7 +632,7 @@ CentralBufferSwitch::decideMulticast(std::size_t i,
     input.entry =
         cq_.addReserved(pkt, static_cast<int>(branches.size()));
     input.mode = InMode::CentralQueue;
-    ++cqWriters_;
+    writeAt_ = 0;
     input.consumed = 0;
     stats_.packetsRouted.inc();
     if (branches.size() > 1) {
@@ -628,21 +691,25 @@ CentralBufferSwitch::cqWrite(Cycle now)
 {
     // One chunk write per cycle: round-robin over inputs that have a
     // full chunk staged (or the complete tail) to keep chunks packed.
+    // The gate is rebuilt from every CQ-mode input: the losers and
+    // any input waiting for a free chunk look again next cycle.
     eligible_.clear();
+    writeAt_ = kNoCycle;
     for (std::size_t i = held_.next(0); i != SlotMask::kEnd;
          i = held_.next(i + 1)) {
         InputState &input = inputs_[i];
         if (input.mode != InMode::CentralQueue)
             continue;
-        const PacketRecord &rec = fifos_[i].packets.front();
-        const int staged = rec.arrived - input.consumed;
-        if (staged <= 0)
+        const Cycle at = writeBound(i, now);
+        if (at > now) {
+            writeAt_ = std::min(writeAt_, at); // still staging
             continue;
-        const bool tail_in = rec.arrived == rec.pkt->totalFlits();
-        if (staged < cbParams_.chunkFlits && !tail_in)
+        }
+        if (cq_.writable(input.entry) <= 0) {
+            // Central queue full (unicast path only).
+            writeAt_ = std::min(writeAt_, now + 1);
             continue;
-        if (cq_.writable(input.entry) <= 0)
-            continue; // central queue full (unicast path only)
+        }
         // Note: no write throttling while reservations wait — holding
         // back a unicast that is already at the head of an output
         // queue would block the very readers whose recycled chunks
@@ -653,6 +720,8 @@ CentralBufferSwitch::cqWrite(Cycle now)
     const int winner = writeArb_.grantFrom(eligible_);
     if (winner < 0)
         return;
+    if (eligible_.size() > 1)
+        writeAt_ = std::min(writeAt_, now + 1);
 
     const auto i = static_cast<std::size_t>(winner);
     InputState &input = inputs_[i];
@@ -662,6 +731,7 @@ CentralBufferSwitch::cqWrite(Cycle now)
                             cq_.writable(input.entry)});
     MDW_ASSERT(n > 0, "eligible input with nothing to write");
     cq_.write(input.entry, n);
+    readAt_ = 0;
     input.consumed += n;
     releaseInput(i, n, now);
     if (sim_)
@@ -669,6 +739,21 @@ CentralBufferSwitch::cqWrite(Cycle now)
 
     if (input.consumed == rec.pkt->totalFlits())
         finishHeadPacket(i);
+    else
+        writeAt_ = std::min(writeAt_, std::max(writeBound(i, now), now + 1));
+}
+
+Cycle
+CentralBufferSwitch::writeBound(std::size_t i, Cycle now) const
+{
+    const PacketRecord &rec = fifos_[i].packets.front();
+    const int staged = rec.arrived - inputs_[i].consumed;
+    const int missing = rec.pkt->totalFlits() - rec.arrived;
+    if (staged > 0 && (staged >= cbParams_.chunkFlits || missing == 0))
+        return now;
+    // The FIFO gains at most one flit per cycle.
+    return now + static_cast<Cycle>(
+                     std::min(cbParams_.chunkFlits - staged, missing));
 }
 
 void
@@ -692,8 +777,6 @@ CentralBufferSwitch::finishHeadPacket(std::size_t i)
     InputState &input = inputs_[i];
     MDW_ASSERT(input.parked == kNotParked,
                "switch %d input %zu: finished head still parked", id_, i);
-    if (input.mode == InMode::CentralQueue)
-        --cqWriters_;
     input = InputState{};
 }
 
@@ -703,6 +786,8 @@ CentralBufferSwitch::enqueueBranch(std::size_t o, QueueItem item)
     OutputState &output = outputs_[o];
     output.queue.push_back(std::move(item));
     streamOut_.set(o);
+    if (output.idle())
+        activateDue_ = true;
 }
 
 void
@@ -719,11 +804,14 @@ CentralBufferSwitch::finishOutput(std::size_t o)
     output.sentSeq = 0;
     if (output.queue.empty())
         streamOut_.clear(o);
+    else
+        activateDue_ = true;
 }
 
 void
 CentralBufferSwitch::activateStreams()
 {
+    activateDue_ = false;
     for (std::size_t o = streamOut_.next(0); o != SlotMask::kEnd;
          o = streamOut_.next(o + 1)) {
         OutputState &output = outputs_[o];
@@ -743,6 +831,7 @@ CentralBufferSwitch::activateStreams()
                        "retired before it was read",
                        id_, o, output.current.entry);
             cq_.grantEscape(output.current.entry);
+            readAt_ = 0;
         }
     }
 }
@@ -750,36 +839,51 @@ CentralBufferSwitch::activateStreams()
 void
 CentralBufferSwitch::cqRead(Cycle now)
 {
-    (void)now;
     // One chunk read per cycle: round-robin over streaming outputs
-    // whose staging FIFO can take a chunk.
+    // whose staging FIFO can take a chunk. The gate is rebuilt from
+    // every stream: the losers look again next cycle.
     eligible_.clear();
+    readAt_ = kNoCycle;
     for (std::size_t o = streamOut_.next(0); o != SlotMask::kEnd;
          o = streamOut_.next(o + 1)) {
-        OutputState &output = outputs_[o];
-        if (output.mode != OutputState::Mode::Stream)
+        if (outputs_[o].mode != OutputState::Mode::Stream)
             continue;
-        if (output.readSeq >= output.current.branchPkt->totalFlits())
-            continue; // fully fetched; entry may already be recycled
-        const int space = cbParams_.outputFifoFlits - output.fifoFlits;
-        if (space < cbParams_.chunkFlits)
+        const Cycle at = readBound(o, now);
+        if (at > now) {
+            readAt_ = std::min(readAt_, at);
             continue;
-        if (cq_.readable(output.current.entry, output.current.reader) <=
-            0)
-            continue;
+        }
         eligible_.push_back(static_cast<int>(o));
     }
     const int winner = readArb_.grantFrom(eligible_);
     if (winner < 0)
         return;
-    OutputState &output = outputs_[static_cast<std::size_t>(winner)];
+    if (eligible_.size() > 1)
+        readAt_ = std::min(readAt_, now + 1);
+    const auto o = static_cast<std::size_t>(winner);
+    OutputState &output = outputs_[o];
     const int n = cq_.read(output.current.entry, output.current.reader,
                            cbParams_.chunkFlits);
     MDW_ASSERT(n > 0, "eligible output read nothing");
     output.fifoFlits += n;
     output.readSeq += n;
+    readAt_ = std::min(readAt_, std::max(readBound(o, now), now + 1));
     if (sim_)
         sim_->noteProgress();
+}
+
+Cycle
+CentralBufferSwitch::readBound(std::size_t o, Cycle now) const
+{
+    const OutputState &output = outputs_[o];
+    if (output.readSeq >= output.current.branchPkt->totalFlits())
+        return kNoCycle; // fully fetched; entry may already be recycled
+    if (cq_.readable(output.current.entry, output.current.reader) <= 0)
+        return kNoCycle; // a CQ write opens the gate
+    const int space = cbParams_.outputFifoFlits - output.fifoFlits;
+    // The output FIFO loses at most one flit per cycle.
+    return now + static_cast<Cycle>(
+                     std::max(0, cbParams_.chunkFlits - space));
 }
 
 void

@@ -90,9 +90,9 @@ class CentralBufferSwitch : public SwitchBase
     bool quiescent(std::string *why) const override;
 
     /** Base checks plus: the bypass- and stream-output bits each
-     *  equal the output state they mark (see bypassOut_), and the
-     *  CQ-writer count equals the inputs writing into the central
-     *  queue. */
+     *  equal the output state they mark (see bypassOut_), and no
+     *  stage gate (see writeAt_) is later than the earliest cycle its
+     *  stage can act, recomputed from the inputs and outputs. */
     bool activityExact(std::string *why) const override;
 
     void attachTelemetry(Telemetry &telemetry) override;
@@ -215,8 +215,14 @@ class CentralBufferSwitch : public SwitchBase
     void unpark(std::size_t i);
     void bypassTransmit(Cycle now);
     void cqWrite(Cycle now);
+    /** Earliest cycle from @p now at which CQ-mode input @p i has a
+     *  chunk (or its tail) staged. */
+    Cycle writeBound(std::size_t i, Cycle now) const;
     void activateStreams();
     void cqRead(Cycle now);
+    /** Earliest cycle from @p now at which streaming output @p o has a
+     *  readable chunk and room for it; kNoCycle until a CQ write. */
+    Cycle readBound(std::size_t o, Cycle now) const;
     void streamTransmit(Cycle now);
     /** The head packet of input @p i has fully left its FIFO. */
     void finishHeadPacket(std::size_t i);
@@ -256,9 +262,22 @@ class CentralBufferSwitch : public SwitchBase
      *  queue; activateStreams, cqRead, streamTransmit). */
     SlotMask bypassOut_;
     SlotMask streamOut_;
-    /** Inputs in InMode::CentralQueue (their head is being written
-     *  into the central queue); cqWrite() runs only while non-zero. */
-    int cqWriters_ = 0;
+    /**
+     * Stage gates: the earliest cycle decide (SwitchBase::decideAt_),
+     * cqWrite and cqRead can act, each recomputed by its stage and
+     * lowered to 0 by the events that can make it act sooner. The
+     * bounds rest on an input FIFO gaining, and an output FIFO
+     * losing, at most one flit per cycle: cqWrite waits for a chunk
+     * or the tail to be staged, cqRead for chunk room in an output
+     * FIFO with readable flits (only a CQ write or a stream
+     * activation can give a stream readable flits, and both open
+     * it).
+     */
+    Cycle writeAt_ = kNoCycle;
+    Cycle readAt_ = kNoCycle;
+    /** Some idle output holds queued branches: set by enqueueBranch()
+     *  and finishOutput(), cleared by activateStreams(). */
+    bool activateDue_ = false;
     /** Per-step scratch: requesters for the CQ write/read arbiters. */
     std::vector<int> eligible_;
     RoundRobinArbiter writeArb_;

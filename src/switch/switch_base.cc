@@ -329,6 +329,7 @@ SwitchBase::intake(Cycle now)
         if (flit.isHead()) {
             fifo.packets.push_back(PacketRecord{flit.pkt, 1});
             held_.set(laneIdx(i, flit.lane));
+            decideAt_ = 0;
         } else {
             MDW_ASSERT(!fifo.packets.empty() &&
                            fifo.packets.back().pkt == flit.pkt,
@@ -415,7 +416,7 @@ SwitchBase::sendFlit(std::size_t p, int lane, const PacketPtr &pkt,
                   static_cast<std::int32_t>(p));
         return false;
     }
-    port.out->send(Flit{pkt, seq, lane}, now);
+    port.out->sendUnchecked(Flit{pkt, seq, lane}, now);
     --held;
     notePortSend(p, lane);
     if (sim_)

@@ -375,6 +375,8 @@ class SwitchBase : public Component
         fifo.packets.pop_front();
         if (fifo.packets.empty())
             held_.clear(slot);
+        else
+            decideAt_ = 0; // a new head packet
     }
 
     /** Sample the per-lane buffered-flit total (multi-lane only). */
@@ -492,6 +494,11 @@ class SwitchBase : public Component
     /** Input FIFOs holding a packet: set by intake() on a head flit,
      *  cleared by popInputPacket() when the FIFO empties. */
     SlotMask held_;
+    /** Earliest cycle the architecture's head-decode stage can act
+     *  (the CB switch's decide gate; the input-buffer switch does
+     *  not read it): intake() lowers it to 0 on every head flit,
+     *  popInputPacket() whenever a pop leaves a new head packet. */
+    Cycle decideAt_ = kNoCycle;
     std::vector<OutPort> outs_;
     /** Output ports whose credit channel holds a grant (see inLive_;
      *  cleared by collectCredits()). */

@@ -2,7 +2,7 @@
  * @file
  * Tests for the activity-driven switch step: the per-port arrival
  * bounds and live-port masks, the held-input mask, the CB switch's
- * per-mode output masks and CQ-writer count, and decode-once.
+ * per-mode output masks and stage gates, and decode-once.
  *
  * SwitchActivity runs networks cycle by cycle and, after every cycle,
  * asks every switch to recompute its activity bookkeeping from scratch
@@ -11,7 +11,11 @@
  * both architectures under contended load, multi-lane switches,
  * fail-stop and transient faults, the sharded scheduler (whose
  * boundary flush lowers the bounds and sets the live bits at the
- * barrier), and hardware barriers.
+ * barrier), hardware barriers, and CB constants other than the
+ * defaults (chunk and output FIFO size, link delay, the multiport
+ * encoding's variable header length). The CB gates' bounds rest on
+ * an input FIFO gaining, and an output FIFO losing, at most one flit
+ * per cycle; two tests check that directly on one switch.
  */
 
 #include <map>
@@ -25,7 +29,10 @@
 #include "core/hw_barrier.hh"
 #include "core/network.hh"
 #include "core/presets.hh"
+#include "message/packet.hh"
 #include "sim/config.hh"
+#include "switch/central_buffer_switch.hh"
+#include "topology/fat_tree.hh"
 #include "workload/traffic.hh"
 
 namespace mdw {
@@ -101,6 +108,19 @@ TEST(SwitchActivity, ExactUnderContendedCentralBuffer)
     expectExactThroughout(
         "arch=cb scheme=hw workload.pattern=bimodal "
         "workload.mcastFraction=0.3 workload.load=0.3");
+    // Half-size chunks (twice as many, the same storage) and output
+    // FIFOs move every chunk-granular bound.
+    expectExactThroughout(
+        "arch=cb scheme=hw cb.chunks=256 cb.chunkFlits=4 cb.outputFifo=8 "
+        "workload.pattern=bimodal workload.mcastFraction=0.3 "
+        "workload.load=0.3");
+    // A longer wire spaces the arrivals.
+    expectExactThroughout(
+        "arch=cb scheme=hw linkDelay=3 workload.load=0.2");
+    // Multiport headers grow with the destination set, so the decode
+    // bound waits a different number of flits per worm.
+    expectExactThroughout(
+        "arch=cb scheme=hw encoding=multiport workload.load=0.2");
 }
 
 TEST(SwitchActivity, ExactUnderContendedInputBuffer)
@@ -153,9 +173,11 @@ TEST(SwitchActivity, ExactOnTheAlwaysSteppedPath)
         "sim.fastPath=0 arch=cb scheme=hw workload.load=0.1");
 }
 
-TEST(SwitchActivity, ExactThroughHardwareBarriers)
+/** Run hardware barriers on a 16-host network built from @p config,
+ *  checking every switch after every cycle. */
+void
+expectExactThroughBarriers(NetworkConfig config)
 {
-    NetworkConfig config = defaultNetwork();
     config.fatTreeK = 4;
     config.fatTreeN = 2; // 16 hosts
     Network net(config);
@@ -189,6 +211,134 @@ TEST(SwitchActivity, ExactThroughHardwareBarriers)
     EXPECT_FALSE(broken) << why;
     EXPECT_EQ(rounds, 6);
     EXPECT_EQ(barrier.pendingBarriers(), 0u);
+}
+
+TEST(SwitchActivity, ExactThroughHardwareBarriers)
+{
+    expectExactThroughBarriers(defaultNetwork());
+    // Barrier emissions write the central queue directly.
+    NetworkConfig small = defaultNetwork();
+    small.cb.cqChunks = 256;
+    small.cb.chunkFlits = 4;
+    small.cb.outputFifoFlits = 8;
+    small.linkDelay = 3;
+    expectExactThroughBarriers(small);
+}
+
+/** Link-layer hook that delivers every flit at one fixed cycle, as a
+ *  replay round can (equal arrival cycles keep the channel FIFO). */
+class SameCycleHook : public ChannelHook<Flit>
+{
+  public:
+    explicit SameCycleHook(Cycle arrival) : arrival_(arrival) {}
+    Cycle onSend(Flit &, Cycle) override { return arrival_; }
+    void onReceive(const Flit &) override {}
+
+  private:
+    Cycle arrival_;
+};
+
+/** One 4-port central-buffer switch with every output wired to a
+ *  plain channel granting @p window credits. */
+struct LoneSwitch
+{
+    explicit LoneSwitch(int window)
+        : tree(4, 1),
+          sw("sw", 0, &tree.routing().at(0), SwitchParams{}, CbParams{}),
+          outs(4), outCredits(4), ins(4), inCredits(4)
+    {
+        for (std::size_t p = 0; p < 4; ++p) {
+            const auto port = static_cast<PortId>(p);
+            sw.connectOut(port, &outs[p], &outCredits[p],
+                          ReceivePolicy{window, false});
+            sw.connectIn(port, &ins[p], &inCredits[p]);
+        }
+    }
+
+    PacketPtr
+    packet(DestSet dests, PacketKind kind, int payload)
+    {
+        PacketDesc desc;
+        desc.src = 0;
+        desc.dests = std::move(dests);
+        desc.kind = kind;
+        desc.headerFlits = 2;
+        desc.payloadFlits = payload;
+        return factory.make(std::move(desc));
+    }
+
+    FatTree tree;
+    CentralBufferSwitch sw;
+    std::vector<Channel<Flit>> outs;
+    std::vector<CreditChannel> outCredits;
+    std::vector<Channel<Flit>> ins;
+    std::vector<CreditChannel> inCredits;
+    PacketFactory factory;
+};
+
+TEST(SwitchActivity, InputFifoGainsOneFlitPerCycle)
+{
+    // A hooked input link hands all eight flits of a worm to the
+    // switch at cycle 20. Output 3 grants no credit, so the unicast
+    // claims its bypass path and nothing leaves the input FIFO: the
+    // flits must still enter it one per cycle.
+    LoneSwitch lone(0);
+    SameCycleHook hook(20);
+    Channel<Flit>::Side side;
+    lone.ins[0].setSide(&side);
+    lone.ins[0].setHook(&hook);
+    const PacketPtr pkt =
+        lone.packet(DestSet::of(4, {3}), PacketKind::Unicast, 6);
+    for (int seq = 0; seq < pkt->totalFlits(); ++seq)
+        lone.ins[0].send(Flit{pkt, seq, 0}, static_cast<Cycle>(seq));
+    ASSERT_EQ(lone.ins[0].nextArrival(), 20u);
+    for (Cycle now = 0; now < 40; ++now) {
+        lone.sw.step(now);
+        const int expect = now < 20 ? 0
+                                    : std::min<int>(
+                                          static_cast<int>(now - 19),
+                                          pkt->totalFlits());
+        EXPECT_EQ(lone.sw.inputOccupancy(0), expect) << "cycle " << now;
+    }
+    EXPECT_EQ(lone.sw.stats().flitsIn.value(), 8u);
+    EXPECT_EQ(lone.ins[0].inFlight(), 0u);
+}
+
+TEST(SwitchActivity, OutputFifoDrainsOneFlitPerCycle)
+{
+    // A multicast streams through the central queue to outputs 1, 2
+    // and a failed output 3, whose tombstone sink takes any flit at
+    // once. Each output still sends (or swallows) at most one flit per
+    // cycle, though it fetches a whole chunk at a time.
+    LoneSwitch lone(64);
+    lone.sw.failOutPort(3);
+    const PacketPtr pkt =
+        lone.packet(DestSet::of(4, {1, 2, 3}), PacketKind::HwMulticast, 38);
+    int window = lone.sw.receivePolicy(0).window;
+    int sent = 0;
+    std::uint64_t tx1 = 0, tx2 = 0, dropped = 0;
+    for (Cycle now = 0; now < 200; ++now) {
+        window += lone.inCredits[0].receive(now);
+        if (window > 0 && sent < pkt->totalFlits()) {
+            lone.ins[0].send(Flit{pkt, sent++, 0}, now);
+            --window;
+        }
+        lone.sw.step(now);
+        const std::uint64_t t1 = lone.sw.portTxFlits(1);
+        const std::uint64_t t2 = lone.sw.portTxFlits(2);
+        const std::uint64_t d = lone.sw.stats().tombstonedFlits.value();
+        EXPECT_LE(t1 - tx1, 1u) << "cycle " << now;
+        EXPECT_LE(t2 - tx2, 1u) << "cycle " << now;
+        EXPECT_LE(d - dropped, 1u) << "cycle " << now;
+        tx1 = t1;
+        tx2 = t2;
+        dropped = d;
+    }
+    const auto total = static_cast<std::uint64_t>(pkt->totalFlits());
+    EXPECT_EQ(tx1, total);
+    EXPECT_EQ(tx2, total);
+    EXPECT_EQ(dropped, total);
+    EXPECT_EQ(lone.sw.cqEntries(), 0u);
 }
 
 TEST(SwitchActivity, CentralBufferDecodesEachWormOnce)
